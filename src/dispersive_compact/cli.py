@@ -253,8 +253,12 @@ def _cmd_spectrum(cfg) -> int:
 
 
 def _cmd_efficiency(cfg) -> int:
-    ids = (sorted(spectral.analysis_scheme_ids()) if cfg["schemes"] == "all"
-           else [s.strip() for s in str(cfg["schemes"]).split(",") if s.strip()])
+    if cfg["schemes"] == "all":
+        # psi, and with it the efficiency, exists for odd derivative orders only
+        ids = [sid for sid in spectral.analysis_scheme_ids()
+               if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
+    else:
+        ids = [s.strip() for s in str(cfg["schemes"]).split(",") if s.strip()]
     rows = []
     for sid in ids:
         res = spectral.resolving_efficiency(
@@ -352,16 +356,21 @@ def _run_config(cfg, record_every=0) -> kdv.RunConfig:
     )
 
 
-def _cmd_run(cfg) -> int:
-    family = _family_from_cfg(cfg)
+def _make_problem(cfg) -> kdv.KdvProblem:
     try:
-        problem = kdv.make_problem(cfg["example"], **_problem_params(cfg))
+        return kdv.make_problem(cfg["example"], **_problem_params(cfg))
     except KeyError as err:
         raise UsageError(str(err.args[0])) from None
     except TypeError as err:
         raise UsageError(f"bad parameters for preset {cfg['example']!r}: {err}") from None
+
+
+def _cmd_run(cfg) -> int:
+    family = _family_from_cfg(cfg)
+    problem = _make_problem(cfg)
+    config = _run_config(cfg)
     disc = kdv.Discretization(family, int(cfg["n"]), problem.length, problem.x_lo)
-    result = kdv.integrate(problem, disc, _run_config(cfg))
+    result = kdv.integrate(problem, disc, config)
     if cfg["snapshot"]:
         kdv.snapshot_to_csv(cfg["snapshot"], result)
     summary = {
@@ -393,13 +402,13 @@ def _cmd_converge(cfg) -> int:
         ns = [int(s) for s in str(cfg["ns"]).split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad --Ns value {cfg['ns']!r}") from None
-    try:
-        report = kdv.convergence_study(
-            cfg["example"], family, ns, _run_config(cfg),
-            params=_problem_params(cfg), parallel=not cfg["serial"],
-        )
-    except KeyError as err:
-        raise UsageError(str(err.args[0])) from None
+    # built here only to reject bad presets and parameters before any worker
+    # process starts; each worker builds its own copy
+    _make_problem(cfg)
+    report = kdv.convergence_study(
+        cfg["example"], family, ns, _run_config(cfg),
+        params=_problem_params(cfg), parallel=not cfg["serial"],
+    )
     if cfg["out"]:
         report.to_csv(cfg["out"])
     else:
@@ -446,12 +455,13 @@ def dispatch(argv=None) -> int:
         print(f"error: unknown scheme {err.args[0]!r}; {_known_schemes_note()}",
               file=sys.stderr)
         return EXIT_USAGE
+    except (DivergenceError, SingularOperatorError) as err:
+        # before ValueError: SingularOperatorError is one
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, SingularOperatorError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -81,6 +81,24 @@ class SchemeTemplate:
                         f"group {group.slot!r} not {kind} at offset {off}"
                     )
 
+    def flat_taps(self, coeffs: SchemeCoefficients, num=Fraction):
+        """Sorted (offset, weight) taps with each group's coefficient applied.
+
+        ``num`` converts coefficients and weights before they are multiplied
+        and summed: ``Fraction`` keeps the taps exact; ``float`` gives the
+        double-precision taps the operators apply, which can differ from the
+        rounded exact taps in the last bit.
+        """
+        vals = coeffs.as_dict()
+        taps: dict = {}
+        for group in self.rhs_groups:
+            cv = num(vals[group.slot])
+            if cv == 0:
+                continue
+            for off, w in group.taps:
+                taps[off] = taps.get(off, 0) + cv * num(w)
+        return tuple(sorted(taps.items()))
+
     @property
     def max_offset(self) -> int:
         spans = [abs(off) for off, _ in self.lhs_offsets]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .banded import CyclicBandedSolver, SingularOperatorError  # noqa: F401
+from .banded import CyclicBandedSolver, SingularOperatorError, lhs_symbol
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,53 @@ class DualGridFunction:
         return self.domain_start + 0.5 * self.h * np.arange(2 * self.n)
 
 
-def _tap_list(coeffs: exact.SchemeCoefficients, template: exact.SchemeTemplate):
-    """Flattened (offset, weight) taps with the group coefficients applied."""
-    slot_vals = coeffs.as_dict()
-    taps: dict[int, float] = {}
-    for group in template.rhs_groups:
-        cv = float(slot_vals[group.slot])
-        if cv == 0.0:
-            continue
-        for off, w in group.taps:
-            taps[off] = taps.get(off, 0.0) + cv * float(w)
-    return sorted(taps.items())
+def grid_taps(taps, grid_kind: str, derivative_order: int):
+    """(index shift, weight) of each (h/2 offset, weight) tap on the grid the
+    operator acts on: row i of its B reads value i + shift.
+
+    Dual operators act on the interleaved fine grid, so the shift is the
+    offset.  Node- and center-only operators act on N values; a tap at an odd
+    offset reads the opposite-parity sequence, which occupies the same index
+    range, so its offset rounds toward the output parity: up for an
+    interpolation to centers, down for a derivative at nodes.
+    """
+    if grid_kind == "dual":
+        return list(taps)
+    if grid_kind not in ("node_only", "center_only"):
+        raise ValueError(f"unknown grid kind {grid_kind!r}")
+    out = []
+    for off, w in taps:
+        if off % 2 == 0:
+            shift = off // 2
+        elif derivative_order == 0:
+            shift = (off + 1) // 2
+        else:
+            shift = (off - 1) // 2
+        out.append((shift, w))
+    return out
+
+
+def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
+                     size: int) -> np.ndarray:
+    """DFT symbol of h^d A^{-1} B on a periodic grid of ``size`` points.
+
+    Column convention: h^d D v = ifft(sigma * fft(v)).  Because row i of B
+    reads v[i + shift], mode k of B v is v_k times sum w e^{+2 pi i shift k/size},
+    the conjugate of the DFT of B's first row.  The LHS band acts within one
+    parity, so its offsets step by 2 on the fine grid of a dual operator.
+    """
+    row = np.zeros(size)
+    for shift, w in grid_taps(taps, grid_kind, derivative_order):
+        row[shift % size] += float(w)
+    step = 2 if grid_kind == "dual" else 1
+    den = lhs_symbol(float(alpha), float(beta),
+                     2.0 * np.pi * step * np.arange(size) / size)
+    if np.min(np.abs(den)) < 1e-12:
+        raise SingularOperatorError(
+            f"implicit circulant (alpha={float(alpha):.6g}, "
+            f"beta={float(beta):.6g}) is singular on {size} points"
+        )
+    return np.conj(np.fft.fft(row)) / den
 
 
 class CompactOperator:
@@ -108,56 +144,48 @@ class CompactOperator:
             raise ValueError(
                 f"N={n} too small for stencil half-width {template.max_offset} (h/2 units)"
             )
-        self.taps = _tap_list(coeffs, template)
+        self.taps = template.flat_taps(coeffs, float)
+        self._grid_taps = grid_taps(self.taps, self.grid_kind, self.derivative_order)
         self.solver = CyclicBandedSolver(
             self.n, float(coeffs.alpha), float(coeffs.beta)
         )
         self._scale = self.h ** (-self.derivative_order)
+        self.size = 2 * self.n if self.grid_kind == "dual" else self.n
+        # the circulant's DFT symbol, scaled by h^-d: D v = ifft(symbol * fft(v))
+        self.symbol = self._scale * circulant_symbol(
+            self.taps, coeffs.alpha, coeffs.beta, self.grid_kind,
+            self.derivative_order, self.size,
+        )
+        self._half_symbol = self.symbol[: self.size // 2 + 1]
         self._dense: np.ndarray | None = None
 
     # -- raw array paths ----------------------------------------------------
 
-    def _rhs_node(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        for off, w in self.taps:
-            out += w * np.roll(values, -(off // 2))
-        return out * self._scale
-
-    def _rhs_cross(self, values: np.ndarray, to_center: bool) -> np.ndarray:
-        # taps at odd offsets read the opposite-parity sequence; the integer
-        # shift depends on whether the output sits at nodes or centers
+    def _rhs(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros(len(values))
-        for off, w in self.taps:
-            shift = (off + 1) // 2 if to_center else (off - 1) // 2
+        for shift, w in self._grid_taps:
             out += w * np.roll(values, -shift)
         return out * self._scale
 
-    def _rhs_fine(self, fine: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(fine)
-        for off, w in self.taps:
-            out += w * np.roll(fine, -off)
-        return out * self._scale
-
     def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """Operator action on a raw array (fine-grid array for dual kind)."""
-        if self.grid_kind == "dual":
-            if len(values) != 2 * self.n:
+        """Operator action on a raw array (fine-grid array for dual kind),
+        by the O(N) cyclic banded solve."""
+        if len(values) != self.size:
+            if self.grid_kind == "dual":
                 raise ValueError("dual operator expects a fine array of length 2N")
-            rhs = self._rhs_fine(values)
-            out = np.empty_like(rhs)
-            out[0::2] = self.solver.solve(rhs[0::2])
-            out[1::2] = self.solver.solve(rhs[1::2])
-            return out
-        if len(values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(values)}")
-        if self.grid_kind == "node_only":
-            rhs = self._rhs_node(values)
-        elif self.grid_kind == "center_only":
-            to_center = self.derivative_order == 0
-            rhs = self._rhs_cross(values, to_center=to_center)
-        else:
-            raise ValueError(f"unknown grid kind {self.grid_kind!r}")
-        return self.solver.solve(rhs)
+        rhs = self._rhs(values)
+        if self.grid_kind != "dual":
+            return self.solver.solve(rhs)
+        out = np.empty_like(rhs)
+        out[0::2] = self.solver.solve(rhs[0::2])
+        out[1::2] = self.solver.solve(rhs[1::2])
+        return out
+
+    def apply_fft(self, values: np.ndarray) -> np.ndarray:
+        """Operator action on a raw array of ``size`` values by real FFT; agrees
+        with ``apply_array`` to round-off."""
+        return np.fft.irfft(self._half_symbol * np.fft.rfft(values), n=self.size)
 
     # -- typed wrappers -----------------------------------------------------
 
@@ -172,11 +200,10 @@ class CompactOperator:
         return GridFunction(self.apply_array(f.values), f.h, f.domain_start)
 
     def dense_matrix(self) -> np.ndarray:
-        """The full circulant A^{-1} B action, cached (also the fast path)."""
+        """The full circulant A^{-1} B action, built column by column and cached."""
         if self._dense is None:
-            size = 2 * self.n if self.grid_kind == "dual" else self.n
-            eye = np.eye(size)
-            cols = [self.apply_array(eye[:, j]) for j in range(size)]
+            eye = np.eye(self.size)
+            cols = [self.apply_array(eye[:, j]) for j in range(self.size)]
             self._dense = np.column_stack(cols)
         return self._dense
 

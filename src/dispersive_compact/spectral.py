@@ -22,20 +22,7 @@ import numpy as np
 
 from . import exact
 from .banded import SingularOperatorError
-
-
-def _flatten_taps(template: exact.SchemeTemplate,
-                  coeffs: exact.SchemeCoefficients) -> dict[int, Fraction]:
-    """Taps (fine h/2 offsets) with group coefficients multiplied in, exact."""
-    vals = coeffs.as_dict()
-    taps: dict[int, Fraction] = {}
-    for group in template.rhs_groups:
-        cv = vals[group.slot]
-        if cv == 0:
-            continue
-        for off, w in group.taps:
-            taps[off] = taps.get(off, Fraction(0)) + cv * w
-    return taps
+from .operators import circulant_symbol
 
 
 @dataclass(frozen=True)
@@ -138,7 +125,7 @@ class SchemeSymbol:
 
 
 def _symbol_from_parts(scheme_id, template, coeffs, transfer=None) -> SchemeSymbol:
-    taps = tuple(sorted(_flatten_taps(template, coeffs).items()))
+    taps = template.flat_taps(coeffs)
     return SchemeSymbol(
         scheme_id=scheme_id,
         derivative_order=template.derivative_order,
@@ -204,6 +191,9 @@ def analysis_scheme_ids() -> list[str]:
     for fam, base in {**_CI_FAMILIES, **_LS_FAMILIES}.items():
         for bid in exact.catalogued_scheme_ids():
             b_fam, variant = exact.split_scheme_id(bid)
+            zero_slots = exact.VARIANT_CONSTRAINTS[variant][0]
+            if fam in _LS_FAMILIES and {"alpha", "beta"} <= zero_slots:
+                continue  # least squares needs a free implicit coefficient
             if b_fam == base:
                 ids.add(f"{fam}-{variant}")
     return sorted(ids)
@@ -409,39 +399,23 @@ def circulant_eigenvalues(scheme_id: str, n: int) -> np.ndarray:
     """Eigenvalues of the scaled operator h^d A^{-1} B via DFT of its rows.
 
     Dual schemes are analyzed as the combined fine-grid circulant of size 2N.
+    Entry k is the operator's symbol at mode -k: the conjugate of
+    ``CompactOperator.symbol`` times h^d.
     """
     sym = scheme_symbol(scheme_id)
     if sym.transfer is not None:
         raise ValueError("CI-composed symbols have no standalone circulant")
-    family, variant = exact.split_scheme_id(scheme_id)
-    if family in _LS_FAMILIES:
-        template = exact.family_template(_LS_FAMILIES[family])
-        coeffs = ls_optimize(_LS_FAMILIES[family], variant)
-    else:
-        template, coeffs = exact.builtin_scheme(scheme_id)
-    if template.max_offset > (2 * n if sym.grid_kind == "dual" else n):
-        raise ValueError(f"N={n} below the stencil span")
+    family, _ = exact.split_scheme_id(scheme_id)
+    template = exact.family_template(_LS_FAMILIES.get(family, family))
     size = 2 * n if sym.grid_kind == "dual" else n
-    row_b = np.zeros(size)
-    row_a = np.zeros(size)
-    divisor = 1 if sym.grid_kind == "dual" else 2
-    for m, w in sym.taps:
-        if sym.grid_kind != "dual" and m % 2 != 0:
-            # cross-parity taps: the center sequence occupies the same index
-            # range; offsets round toward the output parity
-            shift = (m + 1) // 2 if template.derivative_order == 0 else (m - 1) // 2
-            row_b[shift % size] += float(w)
-            continue
-        row_b[(m // divisor) % size] += float(w)
-    for off, slot in template.lhs_offsets:
-        val = {"one": 1.0, "alpha": float(coeffs.alpha), "beta": float(coeffs.beta)}[slot]
-        row_a[(off // divisor) % size] += val
-    fa = np.fft.fft(row_a)
-    if np.min(np.abs(fa)) < 1e-12:
-        raise SingularOperatorError(
-            f"implicit circulant of {scheme_id} is singular at N={size}"
-        )
-    return np.fft.fft(row_b) / fa
+    if template.max_offset > size:
+        raise ValueError(f"N={n} below the stencil span")
+    try:
+        sigma = circulant_symbol(sym.taps, sym.alpha, sym.beta, sym.grid_kind,
+                                 sym.derivative_order, size)
+    except SingularOperatorError as err:
+        raise SingularOperatorError(f"{scheme_id}: {err}") from None
+    return np.conj(sigma)
 
 
 IMAG_AXIS_LIMIT_TVDRK3 = 1.732

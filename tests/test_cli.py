@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dispersive_compact import spectral
 from dispersive_compact.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -70,6 +71,22 @@ def test_stability_json(tmp_path):
     assert round(doc["cfl_bound"], 2) == 0.11
 
 
+def test_singular_operator_is_numerical_failure(capsys):
+    # TDCNCS-T4 (alpha = 1/2) is singular at the Nyquist mode of N = 100
+    assert run_cli("stability", "--scheme", "TDCNCS-T4", "--n", "100") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_efficiency_all_lists_only_accepted_ids(tmp_path):
+    out = tmp_path / "e.csv"
+    assert run_cli("efficiency", "--schemes", "all", "--out", str(out)) == EXIT_OK
+    listed = [row.split(",")[0] for row in out.read_text().strip().splitlines()[1:]]
+    assert listed and set(listed) <= set(spectral.analysis_scheme_ids())
+    assert "TDCCS-T8" in listed and "TDCCS-LS-T8" in listed
+    assert not [sid for sid in listed if sid.startswith("CI-") or "-LS-E" in sid]
+
+
 def test_filter_analyze(tmp_path):
     out = tmp_path / "f.csv"
     code = run_cli("filter-analyze", "--name", "F12", "--alpha-f", "0.4",
@@ -112,6 +129,27 @@ def test_run_divergence_is_numerical_failure(tmp_path, capsys):
                    "--t-final", "5", "--out", str(tmp_path / "x.json"))
     assert code == EXIT_NUMERICAL
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--cfl", "0"), ("--cfl", "-0.01"), ("--cfl", "nan"),
+    ("--dt-rule", "fixed", "--dt", "inf"), ("--dt-rule", "fixed", "--dt", "0"),
+    ("--t-final", "nan"), ("--t-final", "inf"), ("--t-final", "-1"),
+])
+def test_bad_run_config_is_usage_error(flags, capsys):
+    assert run_cli("run", *flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("serial", [("--serial",), ()])
+def test_converge_bad_preset_parameter_is_usage_error(serial, capsys):
+    # the soliton preset takes no eps; rejected before any worker starts
+    code = run_cli("converge", "--example", "soliton", "--eps", "0",
+                   "--Ns", "10,20", *serial)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "soliton" in err
 
 
 def test_converge_csv(tmp_path):

@@ -99,6 +99,23 @@ def test_dual_centers_sampled_not_interpolated():
     assert np.allclose(values[1::2], p.initial(d.nodes() + d.h / 2), rtol=1e-13)
 
 
+@pytest.mark.parametrize("family, n", [("TDCNCS", 384), ("TDCCS", 192)])
+def test_small_grids_apply_the_dense_matrix_exactly(family, n):
+    d = kdv.Discretization(family, n, 2 * np.pi)
+    v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
+    assert np.array_equal(d.third(v), d.d3_op.dense_matrix() @ v)
+    assert np.array_equal(d.first(v), d.d1_op.dense_matrix() @ v)
+
+
+@pytest.mark.parametrize("family, n", [("TDCNCS", 385), ("TDCCS", 193)])
+def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
+    d = kdv.Discretization(family, n, 2 * np.pi)
+    v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
+    assert np.array_equal(d.third(v), d.d3_op.apply_fft(v))
+    assert np.array_equal(d.first(v), d.d1_op.apply_fft(v))
+    assert d.d3_op._dense is None and d.d1_op._dense is None
+
+
 def test_dt_rules():
     assert kdv.RunConfig(dt_rule="cfl_h3", cfl=0.01).timestep(0.1) == pytest.approx(1e-5)
     assert kdv.RunConfig(dt_rule="half_h2").timestep(0.2) == pytest.approx(0.02)
@@ -108,6 +125,16 @@ def test_dt_rules():
         kdv.RunConfig(dt_rule="fixed").timestep(0.1)
     with pytest.raises(ValueError):
         kdv.RunConfig(dt_rule="h4").timestep(0.1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"cfl": 0.0}, {"cfl": -0.01}, {"cfl": float("nan")}, {"cfl": float("inf")},
+    {"dt": 0.0}, {"dt": float("inf")}, {"dt": float("nan")},
+    {"t_final": -1.0}, {"t_final": float("nan")}, {"t_final": float("inf")},
+])
+def test_run_config_rejects_bad_values(fields):
+    with pytest.raises(ValueError):
+        kdv.RunConfig(**fields)
 
 
 def test_timestep_guard_warns():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dispersive_compact import exact
+from dispersive_compact import exact, spectral
+from dispersive_compact.banded import SingularOperatorError, check_invertible
 from dispersive_compact.operators import (
     CompactOperator,
     DualGridFunction,
@@ -80,6 +81,48 @@ def test_dense_matrix_equals_apply():
     rng = np.random.default_rng(7)
     v = rng.normal(size=n)
     assert np.allclose(op.dense_matrix() @ v, op.apply_array(v), atol=1e-11)
+
+
+def _invertible(scheme_id):
+    _, coeffs = exact.builtin_scheme(scheme_id)
+    try:
+        check_invertible(float(coeffs.alpha), float(coeffs.beta))
+    except SingularOperatorError:
+        return False
+    return True
+
+
+# every catalogued scheme whose implicit band can be solved: node-only,
+# center-only (both cross-parity rounding directions) and dual kinds
+KERNEL_IDS = [sid for sid in exact.catalogued_scheme_ids() if _invertible(sid)]
+
+
+@pytest.mark.parametrize("scheme_id", KERNEL_IDS)
+def test_fft_apply_matches_banded_apply(scheme_id):
+    template, _ = exact.builtin_scheme(scheme_id)
+    # circulant sizes just below and above the dense limit 384, and the odd
+    # 4097 and 2 * 2049
+    ns = (191, 193, 2049) if template.grid_kind == "dual" else (383, 385, 4097)
+    rng = np.random.default_rng(5)
+    for n in ns:
+        op = build_operator(scheme_id, n, 2 * np.pi / n)
+        v = rng.normal(size=op.size)
+        ref = op.apply_array(v)
+        err = np.max(np.abs(op.apply_fft(v) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), (n, err)
+
+
+@pytest.mark.parametrize("scheme_id, n", [
+    ("TDCNCS-T8", 64), ("TDCNCS-P10", 33), ("TDCCCS-T8", 50),
+    ("CI-P10", 32), ("TDCCS-T8", 40), ("CNCS-T8", 30), ("CCS-T8", 21),
+])
+def test_circulant_eigenvalues_are_conjugate_symbol(scheme_id, n):
+    # the eigenvalue array is indexed by -k, the symbol by k
+    lam = spectral.circulant_eigenvalues(scheme_id, n)
+    for h in (1.0, 0.37):
+        op = build_operator(scheme_id, n, h)
+        want = np.conj(op.symbol) * h ** op.derivative_order
+        assert np.max(np.abs(lam - want)) <= 1e-13 * np.max(np.abs(lam))
 
 
 def test_operator_rejects_wrong_container():
