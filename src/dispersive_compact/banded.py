@@ -16,14 +16,18 @@ class SingularOperatorError(ValueError):
     """The circulant symbol vanishes somewhere on [0, 2*pi)."""
 
 
-def lhs_symbol(alpha: float, beta: float, omega: np.ndarray) -> np.ndarray:
-    """Circulant symbol 1 + 2*alpha*cos(w) + 2*beta*cos(2w) of the band."""
-    return 1.0 + 2.0 * alpha * np.cos(omega) + 2.0 * beta * np.cos(2.0 * omega)
-
-
 def check_invertible(alpha: float, beta: float, tol: float = 1e-10) -> None:
-    omega = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    if np.min(np.abs(lhs_symbol(alpha, beta, omega))) < tol:
+    """Raise unless |1 + 2*alpha*cos(w) + 2*beta*cos(2w)| >= tol for all w.
+
+    With c = cos(w) the symbol is the quadratic D(c) = 1 + 2*alpha*c +
+    2*beta*(2c^2 - 1) on [-1, 1], whose range is spanned by its values at the
+    endpoints and, when it lies inside, at the vertex c = -alpha/(4*beta).
+    """
+    cands = [-1.0, 1.0]
+    if beta != 0.0 and abs(alpha) < 4.0 * abs(beta):
+        cands.append(-alpha / (4.0 * beta))
+    values = [1.0 + 2.0 * alpha * c + 2.0 * beta * (2.0 * c * c - 1.0) for c in cands]
+    if min(values) < tol and max(values) > -tol:
         raise SingularOperatorError(
             f"LHS symbol vanishes for alpha={alpha}, beta={beta}"
         )

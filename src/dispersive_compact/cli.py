@@ -6,6 +6,7 @@ experiment / convergence-study harness.  Emits CSV and JSON only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -56,14 +57,13 @@ _DEFAULTS = {
         "example": "linear", "c": None, "eps": None, "x0": None,
         "scheme": "TDCNCS", "order": 8, "n": 100, "t_final": None,
         "dt_rule": "cfl_h3", "cfl": 0.01, "dt": None, "filter": None,
-        "snapshot": None, "out": None, "seed": None,
+        "snapshot": None, "out": None,
     },
     "converge": {
         "example": "linear", "c": None, "eps": None, "x0": None,
         "scheme": "TDCNCS", "order": 8, "ns": "10,20,30,40",
         "dt_rule": "cfl_h3", "cfl": 0.01, "dt": None, "filter": None,
         "t_final": None, "out": None, "json": None, "serial": None,
-        "seed": None,
     },
 }
 
@@ -127,7 +127,6 @@ def build_parser() -> _Parser:
         p.add_argument("--dt", type=float)
         p.add_argument("--filter", help="NAME:ALPHA_F:EVERY, e.g. F12:0.4:20")
         p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--seed", type=int)
 
     p = cmd("run", "integrate one experiment")
     experiment_flags(p)
@@ -186,45 +185,34 @@ def dump_config(cfg: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _open_out(path):
+def _output(path):
+    """The --out file opened for writing, or stdout (left open) without one."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _write_rows(path, header, rows):
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
-def _coeff_doc(coeffs: exact.SchemeCoefficients) -> dict:
-    return coeffs.to_json_dict()
+def _write_json(path, doc):
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _emit_coeffs(cfg, coeffs):
     if cfg["format"] == "json":
-        fh, close = _open_out(cfg["out"])
-        try:
-            json.dump(_coeff_doc(coeffs), fh, indent=2)
-            fh.write("\n")
-        finally:
-            if close:
-                fh.close()
+        _write_json(cfg["out"], coeffs.to_json_dict())
         return
-    fh, close = _open_out(cfg["out"])
-    try:
+    with _output(cfg["out"]) as fh:
         fh.write(f"{coeffs.family} (formal order {coeffs.formal_order})\n")
         for name, val in coeffs.as_dict().items():
             fh.write(f"  {name} = {val} = {float(val):+.12e}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _known_schemes_note() -> str:
@@ -239,16 +227,8 @@ def _cmd_coeffs(cfg) -> int:
 
 
 def _cmd_spectrum(cfg) -> int:
-    symbol = spectral.scheme_symbol(cfg["scheme"])
-    omega = np.linspace(0.0, np.pi, int(cfg["samples"]), endpoint=False)
-    omega = omega[1:] if omega[0] == 0.0 else omega
-    psi = symbol.psi(omega)
-    factor = spectral.relative_factor(cfg["scheme"], omega)
-    rows = [
-        [f"{w:.10g}", f"{p:.12e}", f"{w ** 3:.12e}", f"{r:.12e}"]
-        for w, p, r in zip(omega, psi, factor)
-    ]
-    _write_rows(cfg["out"], spectral.SPECTRUM_HEADER, rows)
+    spectral.write_spectrum_csv(cfg["out"] or sys.stdout, cfg["scheme"],
+                                int(cfg["samples"]))
     return EXIT_OK
 
 
@@ -280,13 +260,7 @@ def _cmd_stability(cfg) -> int:
         "imag_axis_limit": spectral.IMAG_AXIS_LIMIT_TVDRK3,
         "cfl_bound": spectral.IMAG_AXIS_LIMIT_TVDRK3 / radius,
     }
-    fh, close = _open_out(cfg["out"])
-    try:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(cfg["out"], doc)
     return EXIT_OK
 
 
@@ -386,13 +360,7 @@ def _cmd_run(cfg) -> int:
     }
     if result.norms is not None:
         summary["Linf"], summary["L1"], summary["L2"] = result.norms
-    fh, close = _open_out(cfg["out"])
-    try:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(cfg["out"], summary)
     return EXIT_OK
 
 
@@ -409,16 +377,7 @@ def _cmd_converge(cfg) -> int:
         cfg["example"], family, ns, _run_config(cfg),
         params=_problem_params(cfg), parallel=not cfg["serial"],
     )
-    if cfg["out"]:
-        report.to_csv(cfg["out"])
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(report.CSV_HEADER)
-        for row in report.rows():
-            writer.writerow(
-                ["" if v is None else (v if isinstance(v, int) else f"{v:.6e}")
-                 for v in row]
-            )
+    report.to_csv(cfg["out"] or sys.stdout)
     if cfg["json"]:
         report.to_json(cfg["json"])
     return EXIT_OK

@@ -542,6 +542,7 @@ _DERIVED_VARIANTS = {
     "CNCS": ("T8",),
     "CCS": ("T8",),
 }
+_derived_cache: dict[str, SchemeCoefficients] = {}
 
 _ALIASES = {
     # the TE label marks Taylor-derived coefficients, the default route
@@ -577,12 +578,14 @@ def builtin_scheme(scheme_id: str) -> tuple[SchemeTemplate, SchemeCoefficients]:
         raise UnknownSchemeError(scheme_id)
     template = _FAMILY_TEMPLATES[family]
     name = f"{family}-{variant}"
-    if name not in _CATALOGUE:
+    if name in _CATALOGUE:
+        return template, _CATALOGUE[name]
+    if name not in _derived_cache:
         if family not in _DERIVED_FAMILIES or variant not in _DERIVED_VARIANTS[family]:
             raise UnknownSchemeError(scheme_id)
         zero, order = VARIANT_CONSTRAINTS[variant]
-        _CATALOGUE[name] = derive_coefficients(template, zero, order, family=name)
-    return template, _CATALOGUE[name]
+        _derived_cache[name] = derive_coefficients(template, zero, order, family=name)
+    return template, _derived_cache[name]
 
 
 def family_template(family: str) -> SchemeTemplate:

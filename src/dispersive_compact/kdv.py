@@ -4,6 +4,7 @@ semidiscrete / fully discrete solution, error norms and convergence studies.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -501,7 +502,9 @@ class ConvergenceReport:
             yield [n, *errs, *rates]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        """Write the table to ``path``, or to an open text file left open."""
+        with (contextlib.nullcontext(path) if hasattr(path, "write")
+              else open(path, "w", newline="")) as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER)
             for row in self.rows():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .banded import CyclicBandedSolver, SingularOperatorError, lhs_symbol
+from .banded import CyclicBandedSolver, SingularOperatorError
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,45 @@ def grid_taps(taps, grid_kind: str, derivative_order: int):
             shift = (off - 1) // 2
         out.append((shift, w))
     return out
+
+
+# ---------------------------------------------------------------------------
+# continuous symbol B(w)/A(w)
+# ---------------------------------------------------------------------------
+
+# a backend is (cos, sin, Fraction -> number); mpmath's is built on first use
+_NUMPY = (np.cos, np.sin, float)
+
+
+def lhs_symbol(alpha, beta, omega, cos=np.cos):
+    """Symbol A(w) = 1 + 2*alpha*cos(w) + 2*beta*cos(2w) of the implicit band."""
+    return 1.0 + 2.0 * alpha * cos(omega) + 2.0 * beta * cos(2.0 * omega)
+
+
+def tap_sum(taps, omega, odd: bool, backend=_NUMPY):
+    """Symbol B(w) of (h/2 offset, weight) taps, up to the factor i of odd taps.
+
+    Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
+    (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
+    are read.  Terms at whole-point (even m) and half-point (odd m) offsets are
+    summed apart and added last: near w = 0 the alpha = -1/2 schemes cancel the
+    sum to its last digit, so the grouping fixes their float psi.
+    """
+    cos, sin, num = backend
+    trig = sin if odd else cos
+    whole = half = 0
+    for m, w in taps:
+        if m > 0:
+            term = 2 * num(w) * trig(m * omega / 2)
+        elif m == 0 and not odd:
+            term = num(w)
+        else:
+            continue
+        if m % 2:
+            half = half + term
+        else:
+            whole = whole + term
+    return whole + half
 
 
 def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
@@ -255,11 +294,10 @@ class FilterSpec:
         return len(self.a_coeffs) - 1
 
     def transfer(self, omega) -> np.ndarray:
+        # a_0 + sum a_n cos(n w): taps a_n/2 at whole-point offsets 2n
         omega = np.asarray(omega, dtype=float)
-        num = sum(
-            a * np.cos(n * omega) for n, a in enumerate(self.a_coeffs)
-        )
-        return num / (1.0 + 2.0 * self.alpha_f * np.cos(omega))
+        taps = [(2 * n, a if n == 0 else a / 2) for n, a in enumerate(self.a_coeffs)]
+        return tap_sum(taps, omega, odd=False) / lhs_symbol(self.alpha_f, 0.0, omega)
 
 
 def derive_filter(n_half_width: int, alpha_f: float) -> FilterSpec:

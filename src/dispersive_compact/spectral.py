@@ -14,7 +14,9 @@ formulas beyond pi.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import exact
 from .banded import SingularOperatorError
-from .operators import circulant_symbol
+from .operators import _NUMPY, circulant_symbol, lhs_symbol, tap_sum
 
 
 @dataclass(frozen=True)
@@ -38,90 +40,43 @@ class SchemeSymbol:
     formal_order: int
     transfer: "SchemeSymbol | None" = None  # interpolation factor (CI variants)
 
-    def denominator(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return (1.0 + 2.0 * float(self.alpha) * np.cos(omega)
-                + 2.0 * float(self.beta) * np.cos(2.0 * omega))
+    def _ratio(self, omega, backend):
+        """psi(w) for odd d, T(w) for d = 0, times the CI transfer if composed.
 
-    def _num_parts(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        even = np.zeros_like(omega)
-        odd = np.zeros_like(omega)
-        for m, w in self.taps:
-            if m <= 0:
-                continue
-            term = 2.0 * float(w) * np.sin(0.5 * m * omega)
-            if m % 2 == 0:
-                even = even + term
-            else:
-                odd = odd + term
-        return even, odd
+        On e^{ikx} the scheme acts as i^d B(w)/A(w), and B carries a factor i
+        for antisymmetric taps, so one real sign covers d = 0, 1 and 3.
+        """
+        cos, _, num = backend
+        den = lhs_symbol(num(self.alpha), num(self.beta), omega, cos)
+        if np.size(den) and np.min(np.abs(den)) < 1e-14:
+            raise SingularOperatorError(
+                f"denominator of {self.scheme_id} vanishes in the requested range"
+            )
+        sign = -1 if self.derivative_order % 4 == 3 else 1
+        odd = self.derivative_order % 2 == 1
+        out = sign * tap_sum(self.taps, omega, odd, backend) / den
+        if self.transfer is not None:
+            out = out * self.transfer._ratio(omega, backend)
+        return out
 
     def psi(self, omega):
         """Scaled modified wavenumber psi(w); w may exceed pi for fine modes."""
         if self.derivative_order % 2 == 0:
             raise ValueError("psi is defined for odd derivative orders")
-        omega = np.asarray(omega, dtype=float)
-        den = self.denominator(omega)
-        if den.size and np.min(np.abs(den)) < 1e-14:
-            raise SingularOperatorError(
-                f"denominator of {self.scheme_id} vanishes in the requested range"
-            )
-        even, odd = self._num_parts(omega)
-        sign = -1.0 if self.derivative_order % 4 == 3 else 1.0
-        out = sign * (even + odd) / den
-        if self.transfer is not None:
-            out = out * self.transfer.transfer_function(omega)
-        return out
+        return self._ratio(np.asarray(omega, dtype=float), _NUMPY)
 
     def transfer_function(self, omega):
         """Real per-mode amplitude T(w) of an interpolation (d = 0) scheme."""
         if self.derivative_order != 0:
             raise ValueError("transfer function requires derivative order 0")
-        omega = np.asarray(omega, dtype=float)
-        num = np.zeros_like(omega)
-        for m, w in self.taps:
-            if m == 0:
-                num = num + float(w)
-            elif m > 0:
-                num = num + 2.0 * float(w) * np.cos(0.5 * m * omega)
-        return num / self.denominator(omega)
+        return self._ratio(np.asarray(omega, dtype=float), _NUMPY)
 
     def psi_mp(self, omega):
-        """Arbitrary-precision psi for tiny-w truncation studies."""
+        """Arbitrary-precision psi at mpmath's working precision."""
         import mpmath as mp
 
-        w = mp.mpf(omega)
-        den = (1 + 2 * mp.mpf(self.alpha.numerator) / self.alpha.denominator
-               * mp.cos(w)
-               + 2 * mp.mpf(self.beta.numerator) / self.beta.denominator
-               * mp.cos(2 * w))
-        even = mp.mpf(0)
-        odd = mp.mpf(0)
-        for m, c in self.taps:
-            if m <= 0:
-                continue
-            term = 2 * mp.mpf(c.numerator) / c.denominator * mp.sin(m * w / 2)
-            if m % 2 == 0:
-                even += term
-            else:
-                odd += term
-        sign = -1 if self.derivative_order % 4 == 3 else 1
-        out = sign * (even + odd) / den
-        if self.transfer is not None:
-            tnum = mp.mpf(0)
-            tsym = self.transfer
-            for m, c in tsym.taps:
-                if m == 0:
-                    tnum += mp.mpf(c.numerator) / c.denominator
-                elif m > 0:
-                    tnum += 2 * mp.mpf(c.numerator) / c.denominator * mp.cos(m * w / 2)
-            tden = (1 + 2 * mp.mpf(tsym.alpha.numerator) / tsym.alpha.denominator
-                    * mp.cos(w)
-                    + 2 * mp.mpf(tsym.beta.numerator) / tsym.beta.denominator
-                    * mp.cos(2 * w))
-            out *= tnum / tden
-        return out
+        backend = (mp.cos, mp.sin, lambda q: mp.mpf(q.numerator) / q.denominator)
+        return self._ratio(mp.mpf(omega), backend)
 
 
 def _symbol_from_parts(scheme_id, template, coeffs, transfer=None) -> SchemeSymbol:
@@ -291,16 +246,16 @@ def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
 _ls_cache: dict[tuple, exact.SchemeCoefficients] = {}
 
 
-def _slot_numerator_bases(template: exact.SchemeTemplate, omega: np.ndarray):
-    """Per-slot numerator basis N_s(w) = sum over group taps of 2 w sin(m w/2)."""
-    bases = {}
-    for group in template.rhs_groups:
-        acc = np.zeros_like(omega)
-        for m, w in group.taps:
-            if m > 0:
-                acc += 2.0 * float(w) * np.sin(0.5 * m * omega)
-        bases[group.slot] = acc
-    return bases
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(points: int):
+    return np.polynomial.legendre.leggauss(points)
+
+
+def _quadrature(r: float, points: int):
+    """Gauss-Legendre nodes and weights on [0, r*pi]."""
+    nodes, weights = _gauss_legendre(points)
+    upper = r * np.pi
+    return 0.5 * upper * (nodes + 1.0), 0.5 * upper * weights
 
 
 def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
@@ -333,13 +288,11 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
     conditions = exact.order_conditions(template, 2 * len(lhs_free))
     conditions = conditions[: len(lhs_free)]
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    upper = r * np.pi
-    omega = 0.5 * upper * (nodes + 1.0)
-    wq = 0.5 * upper * weights
+    omega, wq = _quadrature(r, quad_points)
     d = template.derivative_order
     sign = -1.0 if d % 4 == 3 else 1.0
-    nbases = _slot_numerator_bases(template, omega)
+    # per-slot numerator basis: the group's taps at unit coefficient
+    nbases = {g.slot: tap_sum(g.taps, omega, odd=True) for g in template.rhs_groups}
     lbases = {"alpha": 2.0 * np.cos(omega), "beta": 2.0 * np.cos(2.0 * omega)}
     target = omega ** d
 
@@ -381,13 +334,11 @@ def ls_misfit(family: str, coeffs: exact.SchemeCoefficients, r: float = 1.0,
               quad_points: int = 400) -> float:
     """E of Eq-form int_0^{r pi} (psi - w^3)^2 D^2 dw for given coefficients."""
     template = exact.family_template(family)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    upper = r * np.pi
-    omega = 0.5 * upper * (nodes + 1.0)
-    wq = 0.5 * upper * weights
+    omega, wq = _quadrature(r, quad_points)
     sym = _symbol_from_parts("tmp", template, coeffs)
     d = template.derivative_order
-    resid = (sym.psi(omega) - omega ** d) * sym.denominator(omega)
+    den = lhs_symbol(float(coeffs.alpha), float(coeffs.beta), omega)
+    resid = (sym.psi(omega) - omega ** d) * den
     return float(np.sum(wq * resid * resid))
 
 
@@ -438,13 +389,17 @@ SPECTRUM_HEADER = ["omega", "psi", "omega_cubed", "R"]
 
 
 def write_spectrum_csv(path, scheme_id: str, samples: int = 400) -> None:
-    """Symbol curve w, psi(w), w^3, R(w) over (0, pi]."""
-    omega = np.linspace(np.pi / samples, np.pi, samples)
+    """Symbol curve w, psi(w), w^3, R(w) at w = k*pi/samples, 0 < k < samples.
+
+    w = pi is left out: T4-type denominators vanish there.  ``path`` may also
+    be an open text file, which is written to and left open.
+    """
+    omega = np.linspace(0.0, np.pi, samples, endpoint=False)[1:]
     psi = modified_wavenumber(scheme_id, omega)
-    rel = relative_factor(scheme_id, omega)
-    d = scheme_symbol(scheme_id).derivative_order
-    with open(path, "w", newline="") as fh:
+    rel = psi / omega ** scheme_symbol(scheme_id).derivative_order
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="")) as fh:
         writer = csv.writer(fh)
         writer.writerow(SPECTRUM_HEADER)
-        for row in zip(omega, psi, omega ** d, rel):
-            writer.writerow([f"{v:.12g}" for v in row])
+        for w, p, r in zip(omega, psi, rel):
+            writer.writerow([f"{w:.10g}", f"{p:.12e}", f"{w ** 3:.12e}", f"{r:.12e}"])

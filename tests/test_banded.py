@@ -1,5 +1,7 @@
 """Cyclic banded solver against the dense oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,36 @@ def test_singular_band_detected():
         check_invertible(0.5, 0.0)
     with pytest.raises(SingularOperatorError):
         CyclicBandedSolver(16, 0.5)
+
+
+def test_singular_band_between_sample_points_detected():
+    # D(c) = 1 + 2*alpha*c + 2*beta*(2c^2 - 1) touches zero at its vertex
+    # c = -alpha/(4*beta), i.e. at w = 0.955..., which no uniform grid hits
+    alpha, beta = -math.sqrt(0.48), 0.3
+    with pytest.raises(SingularOperatorError):
+        check_invertible(alpha, beta)
+    with pytest.raises(SingularOperatorError):
+        CyclicBandedSolver(64, alpha, beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(min_value=-1.0, max_value=1.0),
+    beta=st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_invertibility_agrees_with_dense_sampling(alpha, beta):
+    omega = np.linspace(0.0, np.pi, 20001)
+    d = 1.0 + 2.0 * alpha * np.cos(omega) + 2.0 * beta * np.cos(2.0 * omega)
+    tol = 1e-10
+    try:
+        check_invertible(alpha, beta, tol)
+    except SingularOperatorError:
+        # |dD/dw| <= 2|alpha| + 4|beta| <= 4, so the sampled extremes lie
+        # within 4 * step / 2 of the true ones
+        slack = tol + 2.0 * (omega[1] - omega[0])
+        assert np.min(d) <= slack and np.max(d) >= -slack
+    else:
+        assert np.all(d >= tol - 1e-14) or np.all(d <= -tol + 1e-14)
 
 
 @settings(max_examples=30, deadline=None)

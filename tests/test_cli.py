@@ -49,6 +49,21 @@ def test_spectrum_csv(tmp_path):
     assert lines[0] == "omega,psi,omega_cubed,R"
 
 
+def test_spectrum_library_and_cli_write_the_same_table(tmp_path, capsys):
+    # TDCNCS-T4's denominator vanishes at w = pi, which the grid leaves out
+    lib = tmp_path / "lib.csv"
+    out = tmp_path / "cli.csv"
+    spectral.write_spectrum_csv(lib, "TDCNCS-T4", samples=64)
+    args = ("spectrum", "--scheme", "TDCNCS-T4", "--samples", "64")
+    assert run_cli(*args, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == lib.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*args) == EXIT_OK
+    assert capsys.readouterr().out == lib.read_bytes().decode()
+    rows = lib.read_text().strip().splitlines()[1:]
+    assert len(rows) == 63 and float(rows[-1].split(",")[0]) < 3.14
+
+
 def test_efficiency_csv(tmp_path):
     out = tmp_path / "e.csv"
     code = run_cli("efficiency", "--schemes", "TDCNCS-T8", "--eps", "1e-3",
@@ -161,6 +176,24 @@ def test_converge_csv(tmp_path):
     assert lines[0] == "N,Linf,L1,L2,rate_inf,rate_1,rate_2"
     rate = float(lines[2].split(",")[4])
     assert abs(rate - 8.0) < 0.4
+
+
+def test_converge_stdout_matches_out_file(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    args = ("converge", "--example", "linear", "--c", "1", "--scheme",
+            "tdcncs", "--Ns", "10,20", "--serial")
+    assert run_cli(*args, "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(*args) == EXIT_OK
+    assert capsys.readouterr().out == out.read_bytes().decode()
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    assert run_cli("run", "--seed", "1") == EXIT_USAGE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1}')
+    assert run_cli("converge", "--config", str(cfg)) == EXIT_USAGE
+    assert "unknown config key(s) seed" in capsys.readouterr().err
 
 
 def test_dump_config_round_trip(tmp_path):

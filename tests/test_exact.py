@@ -111,3 +111,12 @@ def test_derived_first_derivative_companions_exist():
 def test_split_scheme_id():
     assert exact.split_scheme_id("TDCCS-1-T8") == ("TDCCS-1", "T8")
     assert exact.split_scheme_id("TDCNCS-P10") == ("TDCNCS", "P10")
+
+
+def test_catalogued_ids_listed_once_before_and_after_derivation():
+    before = exact.catalogued_scheme_ids()
+    for scheme_id in before:
+        exact.builtin_scheme(scheme_id)  # caches the derived-only families
+    after = exact.catalogued_scheme_ids()
+    assert after == before
+    assert len(set(after)) == len(after) == 49

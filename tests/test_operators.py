@@ -97,6 +97,13 @@ def _invertible(scheme_id):
 KERNEL_IDS = [sid for sid in exact.catalogued_scheme_ids() if _invertible(sid)]
 
 
+def test_catalogued_singular_bands():
+    # alpha = 1/2 vanishes at w = pi, alpha = -1/2 at w = 0
+    singular = sorted(set(exact.catalogued_scheme_ids()) - set(KERNEL_IDS))
+    assert singular == ["TDCCS-1-T6", "TDCCS-T6", "TDCNCS-T4"]
+    assert len(KERNEL_IDS) == 46
+
+
 @pytest.mark.parametrize("scheme_id", KERNEL_IDS)
 def test_fft_apply_matches_banded_apply(scheme_id):
     template, _ = exact.builtin_scheme(scheme_id)

@@ -1,5 +1,6 @@
 """Fourier symbols, resolving efficiency, LS optimization, eigenvalues."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -125,3 +126,34 @@ def test_spectrum_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == spectral.SPECTRUM_HEADER
     assert len(lines) > 40
+
+
+def test_float_psi_matches_mpmath_oracle():
+    ids = [sid for sid in spectral.analysis_scheme_ids()
+           if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
+    assert len(ids) == 87
+    omega = np.linspace(0.5, 3.0, 26)
+    worst = 0.0
+    with mp.workdps(50):
+        for sid in ids:
+            sym = spectral.scheme_symbol(sid)
+            for w, p in zip(omega, sym.psi(omega)):
+                ref = sym.psi_mp(w)
+                worst = max(worst, float(abs(float(p) - ref) / max(1, abs(ref))))
+    assert worst <= 1e-12
+
+
+def test_float_transfer_matches_mpmath_oracle():
+    # the CI-P10 transfer B(w)/A(w), summed independently in 50 digits
+    sym = spectral.scheme_symbol("CI-P10")
+    omega = np.linspace(0.5, 3.0, 26)
+    with mp.workdps(50):
+        def q(x):
+            return mp.mpf(x.numerator) / x.denominator
+
+        for w, t in zip(omega, sym.transfer_function(omega)):
+            wm = mp.mpf(w)
+            num = sum(2 * q(c) * mp.cos(m * wm / 2) for m, c in sym.taps if m > 0)
+            den = 1 + 2 * q(sym.alpha) * mp.cos(wm) + 2 * q(sym.beta) * mp.cos(2 * wm)
+            ref = num / den
+            assert abs(float(t) - ref) <= 1e-12 * max(1, abs(ref))
