@@ -50,7 +50,7 @@ from .spectral import (
     resolving_efficiency,
     scheme_symbol,
 )
-from .timeint import DivergenceError, rk3_amplification, tvdrk3_step
+from .timeint import DivergenceError, TvdRk3, rk3_amplification, tvdrk3_step
 
 __all__ = [
     "CompactOperator",
@@ -72,6 +72,7 @@ __all__ = [
     "SingularOperatorError",
     "TapGroup",
     "TemplateError",
+    "TvdRk3",
     "UnknownSchemeError",
     "build_operator",
     "builtin_scheme",

@@ -421,6 +421,10 @@ def dispatch(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as err:
+        # an output path that cannot be written, e.g. in a missing directory
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from .operators import (
     GridFunction,
     filter_by_name,
 )
-from .timeint import DivergenceError, tvdrk3_step
+from .timeint import DivergenceError, TvdRk3
 
 THREADS_ENV = "DISPERSIVE_COMPACT_THREADS"
 
@@ -241,6 +241,7 @@ class Discretization:
             raise ValueError("first/third derivative grid kinds disagree")
         self.dual = self.d3_op.grid_kind == "dual"
         size = 2 * n if self.dual else n
+        self._work = np.empty(size)  # first(g(u)) inside semidiscrete_rhs
         if size <= DENSE_LIMIT:
             self._d3 = self.d3_op.dense_matrix()
             self._d1 = self.d1_op.dense_matrix()
@@ -253,15 +254,20 @@ class Discretization:
     def fine_points(self) -> np.ndarray:
         return self.x_lo + 0.5 * self.h * np.arange(2 * self.n)
 
-    def third(self, values: np.ndarray) -> np.ndarray:
-        if self._d3 is not None:
-            return self._d3 @ values
-        return self.d3_op.apply_fft(values)
+    def third(self, values: np.ndarray, out=None) -> np.ndarray:
+        return self._apply(self._d3, self.d3_op, values, out)
 
-    def first(self, values: np.ndarray) -> np.ndarray:
-        if self._d1 is not None:
-            return self._d1 @ values
-        return self.d1_op.apply_fft(values)
+    def first(self, values: np.ndarray, out=None) -> np.ndarray:
+        return self._apply(self._d1, self.d1_op, values, out)
+
+    @staticmethod
+    def _apply(dense, op, values, out):
+        if dense is not None:
+            return np.matmul(dense, values, out=out)
+        if out is None:
+            return op.apply_fft(values)
+        out[...] = op.apply_fft(values)
+        return out
 
     def initial_state(self, problem: KdvProblem):
         """Sample u0 directly (centers sampled, never interpolated)."""
@@ -279,14 +285,14 @@ class Discretization:
 
 
 def semidiscrete_rhs(problem: KdvProblem, disc: Discretization,
-                     values: np.ndarray) -> np.ndarray:
-    """Rate  -(g(u))_x - eps * u_xxx  on the discretization's value layout."""
-    rate = -problem.epsilon * disc.third(values)
+                     values: np.ndarray, out=None) -> np.ndarray:
+    """Rate  -(g(u))_x - eps * u_xxx  on the discretization's value layout,
+    written into ``out`` when given.  Non-finite values are left to the
+    time stepper's check."""
+    rate = disc.third(values, out=out)
+    np.multiply(rate, -problem.epsilon, out=rate)
     if problem.g_tag != "zero":
-        flux = problem.g_flux(values)
-        if not np.all(np.isfinite(flux)):
-            raise DivergenceError("non-finite flux values")
-        rate -= disc.first(flux)
+        rate -= disc.first(problem.g_flux(values), out=disc._work)
     return rate
 
 
@@ -390,7 +396,8 @@ def integrate(problem: KdvProblem, disc: Discretization,
     t_final = problem.t_final if config.t_final is None else float(config.t_final)
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    values = np.asarray(disc.initial_state(problem), dtype=float)
+    # a copy: the loop below steps it in place
+    values = np.array(disc.initial_state(problem), dtype=float)
     mass0 = disc.h * float(np.sum(disc.node_values(values)))
     mass_scale = disc.h * float(np.sum(np.abs(disc.node_values(values))))
 
@@ -410,25 +417,29 @@ def integrate(problem: KdvProblem, disc: Discretization,
         spec = filter_by_name(config.filter.name, config.filter.alpha_f)
         filt = FilterOperator(spec, disc.n)
 
-    def rhs(v):
-        return semidiscrete_rhs(problem, disc, v)
+    def rhs(v, out):
+        semidiscrete_rhs(problem, disc, v, out=out)
 
+    stepper = TvdRk3(values.shape)
     history = []
     if config.record_every:
         history.append((0.0, disc.node_values(values).copy()))
     t = 0.0
     try:
-        for step in range(1, n_steps + 1):
-            values = tvdrk3_step(values, rhs, dt, step_index=step, time=t)
-            t = step * dt
-            if filt is not None and step % config.filter.every == 0:
-                if disc.dual:
-                    values[0::2] = filt.apply_array(values[0::2])
-                    values[1::2] = filt.apply_array(values[1::2])
-                else:
-                    values = filt.apply_array(values)
-            if config.record_every and step % config.record_every == 0:
-                history.append((t, disc.node_values(values).copy()))
+        # an overflow or invalid operation leaves a non-finite value in the
+        # state, which the step's own check reports as a DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                stepper.step(values, rhs, dt, step_index=step, time=t)
+                t = step * dt
+                if filt is not None and step % config.filter.every == 0:
+                    if disc.dual:
+                        values[0::2] = filt.apply_array(values[0::2])
+                        values[1::2] = filt.apply_array(values[1::2])
+                    else:
+                        values[:] = filt.apply_array(values)
+                if config.record_every and step % config.record_every == 0:
+                    history.append((t, disc.node_values(values).copy()))
     except DivergenceError as err:
         raise DivergenceError(
             f"{problem.name}: diverged at t={t:.6g} (step {err.step})",

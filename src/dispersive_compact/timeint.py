@@ -16,6 +16,57 @@ class DivergenceError(FloatingPointError):
         self.time = time
 
 
+_THIRD = 1.0 / 3.0
+_TWO_THIRDS = 2.0 / 3.0
+
+
+class TvdRk3:
+    """In-place TVD-RK3 steps of arrays of one shape over preallocated stages.
+
+    ``rhs(v, out)`` writes the rate at ``v`` into ``out``.  A step evaluates
+    u1 = u + dt S(u); u2 = (3/4 u + 1/4 u1) + (dt/4) S(u1);
+    u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order, and checks the
+    result once; only a non-finite result re-checks u1 and u2 to name the
+    stage.  A non-finite stage always reaches the result through its 1/4 or
+    2/3 weight.
+    """
+
+    def __init__(self, shape, dtype=float):
+        self.u1 = np.empty(shape, dtype)
+        self.u2 = np.empty(shape, dtype)
+        self.rate = np.empty(shape, dtype)
+        self.scratch = np.empty(shape, dtype)
+
+    def step(self, u, rhs, dt, step_index=None, time=None) -> None:
+        """Advance ``u`` by one step of size ``dt``, in place."""
+        u1, u2, r, s = self.u1, self.u2, self.rate, self.scratch
+        mul, add = np.multiply, np.add
+        rhs(u, r)
+        mul(r, dt, out=u1)
+        add(u, u1, out=u1)
+        rhs(u1, r)
+        mul(u, 0.75, out=u2)
+        mul(u1, 0.25, out=s)
+        add(u2, s, out=u2)
+        mul(r, 0.25 * dt, out=r)
+        add(u2, r, out=u2)
+        rhs(u2, r)
+        mul(u, _THIRD, out=u)
+        mul(u2, _TWO_THIRDS, out=s)
+        add(u, s, out=u)
+        mul(r, _TWO_THIRDS * dt, out=r)
+        add(u, r, out=u)
+        if not np.isfinite(u).all():
+            stage = 1 if not np.isfinite(u1).all() else (
+                2 if not np.isfinite(u2).all() else 3)
+            raise DivergenceError(
+                f"non-finite values in RK stage {stage}"
+                + (f" at step {step_index}" if step_index is not None else ""),
+                step=step_index,
+                time=time,
+            )
+
+
 def _values(state):
     if isinstance(state, GridFunction):
         return (state.values,)
@@ -24,49 +75,33 @@ def _values(state):
     return (np.asarray(state),)
 
 
-def _rebuild(state, arrays):
+def _rebuild(state, flat):
     if isinstance(state, GridFunction):
-        return GridFunction(arrays[0], state.h, state.domain_start)
+        return GridFunction(flat, state.h, state.domain_start)
     if isinstance(state, DualGridFunction):
-        return DualGridFunction(arrays[0], arrays[1], state.h, state.domain_start)
-    return arrays[0]
-
-
-def _combine(*weighted):
-    """Linear combination of states: (w0, s0), (w1, s1), ..."""
-    parts = [_values(s) for _, s in weighted]
-    arrays = []
-    for i in range(len(parts[0])):
-        acc = sum(w * p[i] for (w, _), p in zip(weighted, parts))
-        arrays.append(acc)
-    return _rebuild(weighted[0][1], arrays)
-
-
-def _check_finite(state, stage, step=None, time=None):
-    for arr in _values(state):
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(
-                f"non-finite values in RK stage {stage}"
-                + (f" at step {step}" if step is not None else ""),
-                step=step,
-                time=time,
-            )
+        n = state.n
+        return DualGridFunction(flat[:n], flat[n:], state.h, state.domain_start)
+    return flat
 
 
 def tvdrk3_step(state, rhs_fn, dt, step_index=None, time=None):
-    """One TVD-RK3 step: u1 = u + dt S(u); u2 = 3/4 u + 1/4 (u1 + dt S(u1));
-    u_next = 1/3 u + 2/3 (u2 + dt S(u2))."""
+    """One TVD-RK3 step of an array, GridFunction or DualGridFunction (node
+    then center values, flattened), by ``TvdRk3``; ``state`` is not modified."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u1 = _combine((1.0, state), (dt, rhs_fn(state)))
-    _check_finite(u1, 1, step_index, time)
-    u2 = _combine((0.75, state), (0.25, u1), (0.25 * dt, rhs_fn(u1)))
-    _check_finite(u2, 2, step_index, time)
-    out = _combine(
-        (1.0 / 3.0, state), (2.0 / 3.0, u2), (2.0 / 3.0 * dt, rhs_fn(u2))
-    )
-    _check_finite(out, 3, step_index, time)
-    return out
+    parts = _values(state)
+    u = np.concatenate(parts) if len(parts) > 1 else np.array(
+        parts[0], dtype=np.result_type(parts[0], float))
+
+    def rhs(v, out):
+        rate = _values(rhs_fn(_rebuild(state, v)))
+        if len(rate) > 1:
+            out[:state.n], out[state.n:] = rate
+        else:
+            out[...] = rate[0]
+
+    TvdRk3(u.shape, u.dtype).step(u, rhs, dt, step_index, time)
+    return _rebuild(state, u)
 
 
 def rk3_amplification(z):

@@ -143,7 +143,23 @@ def test_run_divergence_is_numerical_failure(tmp_path, capsys):
                    "--N", "40", "--dt-rule", "fixed", "--dt", "0.5",
                    "--t-final", "5", "--out", str(tmp_path / "x.json"))
     assert code == EXIT_NUMERICAL
-    capsys.readouterr()
+    assert "diverged at t=1.5 (step 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--scheme", "TDCNCS-T4", "--out", "{missing}/c.json"),
+    ("run", "--example", "linear", "--c", "1", "--N", "10", "--t-final",
+     "0.01", "--out", "{tmp}/s.json", "--snapshot", "{missing}/snap.csv"),
+    ("converge", "--example", "linear", "--c", "1", "--Ns", "10,12",
+     "--t-final", "0.01", "--serial", "--out", "{tmp}/c.csv",
+     "--json", "{missing}/c.json"),
+])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing" in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,12 +1,19 @@
 """Problem presets, semidiscrete rates, integration, norms, studies."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dispersive_compact import kdv
-from dispersive_compact.operators import DualGridFunction, GridFunction
+from dispersive_compact.operators import (
+    DualGridFunction,
+    FilterOperator,
+    GridFunction,
+    filter_by_name,
+)
+from dispersive_compact.timeint import DivergenceError
 
 
 def test_preset_fields():
@@ -236,3 +243,87 @@ def test_snapshot_csv(tmp_path):
 def test_unknown_family():
     with pytest.raises(KeyError):
         kdv.Discretization("TDXXX", 20, 1.0)
+
+
+def _oracle_state(problem, disc, config):
+    """Final fine-grid state of a plain-numpy TVD-RK3 loop, written out in
+    the operation order of ``TvdRk3`` with allocating arithmetic."""
+    t_final = problem.t_final if config.t_final is None else config.t_final
+    n_steps = max(1, round(t_final / config.timestep(disc.h)))
+    dt = t_final / n_steps
+    if (2 * disc.n if disc.dual else disc.n) <= kdv.DENSE_LIMIT:
+        d3, d1 = disc.d3_op.dense_matrix(), disc.d1_op.dense_matrix()
+        third, first = (lambda v: d3 @ v), (lambda v: d1 @ v)
+    else:
+        third, first = disc.d3_op.apply_fft, disc.d1_op.apply_fft
+
+    def rate(v):
+        r = -problem.epsilon * third(v)
+        if problem.g_tag != "zero":
+            r = r - first(problem.g_flux(v))
+        return r
+
+    filt = None
+    if config.filter is not None:
+        filt = FilterOperator(
+            filter_by_name(config.filter.name, config.filter.alpha_f), disc.n)
+    u = disc.initial_state(problem)
+    for step in range(1, n_steps + 1):
+        u1 = u + dt * rate(u)
+        u2 = 0.75 * u + 0.25 * u1 + (0.25 * dt) * rate(u1)
+        u = (1.0 / 3.0) * u + (2.0 / 3.0) * u2 + (2.0 / 3.0 * dt) * rate(u2)
+        if filt is not None and step % config.filter.every == 0:
+            u = filt.apply_array(u)  # the filtered cell is node-only
+    return u
+
+
+def _dispersion_limit_10_steps(n):
+    h = 1.0 / n
+    return kdv.RunConfig(cfl=50.0, t_final=10 * 50.0 * h ** 3)
+
+
+@pytest.mark.parametrize("preset, params, family, n, config", [
+    ("linear", {"c": 8.0}, "TDCNCS", 20, kdv.RunConfig()),
+    ("linear", {"c": 8.0}, "TDCCS", 20, kdv.RunConfig()),
+    ("soliton", {}, "TDCNCS", 40, kdv.RunConfig()),
+    ("triple_soliton", {}, "TDCNCS", 150, kdv.RunConfig(
+        dt_rule="half_h2", t_final=0.05,
+        filter=kdv.FilterConfig("F12", 0.4, 20))),
+    ("dispersion_limit", {}, "TDCCS", 256, _dispersion_limit_10_steps(256)),
+])
+def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
+    problem = kdv.make_problem(preset, **params)
+    disc = kdv.Discretization(family, n, problem.length, problem.x_lo)
+    result = kdv.integrate(problem, disc, config)
+    state = result.state
+    got = state.fine() if isinstance(state, DualGridFunction) else state.values
+    assert np.array_equal(got, _oracle_state(problem, disc, config))
+
+
+def test_divergence_reports_its_step():
+    p = kdv.make_problem("soliton")
+    d = kdv.Discretization("TDCNCS", 40, p.length, p.x_lo)
+    with pytest.warns(UserWarning) as warned:  # the dt guard's
+        with pytest.raises(DivergenceError) as err:
+            kdv.integrate(p, d, kdv.RunConfig(dt_rule="fixed", dt=0.05))
+    # the flux overflows in step 8, which starts at t = 7 dt
+    assert err.value.step == 8
+    assert "(step 8)" in str(err.value)
+    assert err.value.time == pytest.approx(0.35)
+    assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("family, flt", [
+    ("TDCNCS", None), ("TDCCS", None),
+    ("TDCNCS", kdv.FilterConfig("F12", 0.4, 1)),
+    ("TDCCS", kdv.FilterConfig("F12", 0.4, 1)),
+])
+def test_integrate_leaves_the_initial_array_unmodified(family, flt):
+    base = kdv.make_problem("single_soliton")
+    d = kdv.Discretization(family, 32, base.length, base.x_lo)
+    u0 = d.initial_state(base)
+    problem = dataclasses.replace(base, initial=lambda x: u0)
+    r = kdv.integrate(problem, d, kdv.RunConfig(
+        dt_rule="half_h2", t_final=0.01, filter=flt))
+    assert r.n_steps > 1
+    assert np.array_equal(u0, d.initial_state(base))

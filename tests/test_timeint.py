@@ -82,3 +82,34 @@ def test_divergence_detected():
 def test_nonpositive_dt_rejected():
     with pytest.raises(ValueError):
         tvdrk3_step(np.ones(2), lambda u: u, 0.0)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_divergence_names_the_stage_and_step(stage):
+    calls = []
+
+    def rhs(u):
+        # finite until the given stage's rate
+        calls.append(None)
+        return np.full_like(u, np.inf) if len(calls) == stage else u
+
+    with pytest.raises(DivergenceError, match=f"RK stage {stage} at step 9") as err:
+        tvdrk3_step(np.ones(4), rhs, 0.1, step_index=9)
+    assert err.value.step == 9
+
+
+@pytest.mark.parametrize("wrap, rhs", [
+    (lambda v: v, lambda u: -u),
+    (lambda v: GridFunction(v, 0.5), lambda g: GridFunction(-g.values, g.h)),
+    (lambda v: DualGridFunction(v[:4], v[4:], 0.5),
+     lambda g: DualGridFunction(-g.node_values, -g.center_values, g.h)),
+])
+def test_step_leaves_its_input_unmodified(wrap, rhs):
+    values = np.linspace(0.5, 1.5, 8)
+    out = tvdrk3_step(wrap(values), rhs, 0.1)
+    assert np.array_equal(values, np.linspace(0.5, 1.5, 8))
+    decay = rk3_amplification(-0.1).real
+    out_values = np.concatenate(
+        (out.node_values, out.center_values) if isinstance(out, DualGridFunction)
+        else (getattr(out, "values", out),))
+    assert np.allclose(out_values, decay * values)
