@@ -59,15 +59,29 @@ class KdvProblem:
         return self.x_hi - self.x_lo
 
 
+def _checked(positive=(), **params) -> list[float]:
+    """Preset parameters as floats: all finite, those named in ``positive`` > 0."""
+    values = {name: float(value) for name, value in params.items()}
+    for name, value in values.items():
+        if not math.isfinite(value) or (name in positive and not value > 0):
+            need = "finite and positive" if name in positive else "finite"
+            raise ValueError(f"{name} must be {need}, got {value}")
+    return list(values.values())
+
+
 def _linear(c=1.0):
-    c = float(c)
+    (c,) = _checked(c=c)
+    try:
+        epsilon = c ** -2
+    except ArithmeticError:  # c = 0, or so small that c^-2 overflows
+        raise ValueError(f"c must be nonzero with a finite c^-2, got {c}") from None
     return KdvProblem(
         name="linear",
         x_lo=0.0, x_hi=2.0 * np.pi,
         g_flux=lambda u: np.zeros_like(u),
         g_prime=lambda u: np.zeros_like(u),
         g_tag="zero",
-        epsilon=c ** -2,
+        epsilon=epsilon,
         initial=lambda x: np.sin(c * x),
         exact=lambda x, t: np.sin(c * (x + t)),
         t_final=1.0,
@@ -94,8 +108,8 @@ def _burgers_flux():
 
 
 def _single_soliton(c=0.3, eps=5e-4, x0=0.5):
-    c, eps, x0 = float(c), float(eps), float(x0)
-    k = 0.5 * math.sqrt(c / eps)
+    c, eps, x0 = _checked(("c", "eps"), c=c, eps=eps, x0=x0)
+    (k,) = _checked(("k",), k=0.5 * math.sqrt(c / eps))
     g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="single_soliton",
@@ -110,9 +124,10 @@ def _single_soliton(c=0.3, eps=5e-4, x0=0.5):
 
 
 def _double_soliton(c1=0.3, c2=0.1, x1=0.4, x2=0.8, eps=4.84e-4):
-    c1, c2, x1, x2, eps = map(float, (c1, c2, x1, x2, eps))
-    k1 = 0.5 * math.sqrt(c1 / eps)
-    k2 = 0.5 * math.sqrt(c2 / eps)
+    c1, c2, x1, x2, eps = _checked(("c1", "c2", "eps"), c1=c1, c2=c2,
+                                   x1=x1, x2=x2, eps=eps)
+    k1, k2 = _checked(("k1", "k2"), k1=0.5 * math.sqrt(c1 / eps),
+                      k2=0.5 * math.sqrt(c2 / eps))
     g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="double_soliton",
@@ -128,7 +143,7 @@ def _double_soliton(c1=0.3, c2=0.1, x1=0.4, x2=0.8, eps=4.84e-4):
 
 
 def _triple_soliton(eps=1e-4):
-    eps = float(eps)
+    (eps,) = _checked(("eps",), eps=eps)
     g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="triple_soliton",
@@ -143,7 +158,7 @@ def _triple_soliton(eps=1e-4):
 
 
 def _dispersion_limit(eps=1e-4):
-    eps = float(eps)
+    (eps,) = _checked(eps=eps)
     g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="dispersion_limit",
@@ -158,7 +173,7 @@ def _dispersion_limit(eps=1e-4):
 
 
 def _tophat(eps=1e-4):
-    eps = float(eps)
+    (eps,) = _checked(eps=eps)
     g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="tophat",
@@ -207,16 +222,6 @@ _FAMILY_OPS = {
     "TDCCS": ("TDCCS-T8", "CCS-T8"),
 }
 
-# Circulant sizes up to DENSE_LIMIT apply a cached dense matrix; larger ones
-# apply the operator's symbol by real FFT.  Measured on a 2-vCPU x86-64 VM
-# with one BLAS thread, dense matvec vs FFT apply: 8.8 vs 14.2 us at 240,
-# 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs 46 us at 2048
-# (a rerun had them cross between 240 and 320).  Near the limit the two
-# differ by microseconds per apply.  The linear tables run at sizes up to 240,
-# and their round-off-floor errors depend on the dense path's exact rounding.
-DENSE_LIMIT = 384
-
-
 class Discretization:
     """Operators of one scheme family on a fixed periodic grid.
 
@@ -228,6 +233,8 @@ class Discretization:
                  third_scheme: str | None = None, first_scheme: str | None = None):
         if family not in _FAMILY_OPS:
             raise KeyError(f"unknown family {family!r}; valid: TDCNCS, TDCCS")
+        if not n >= 1:
+            raise ValueError(f"N must be at least 1, got {n}")
         self.family = family
         self.n = int(n)
         self.h = length / n
@@ -240,13 +247,7 @@ class Discretization:
         if self.d3_op.grid_kind != self.d1_op.grid_kind:
             raise ValueError("first/third derivative grid kinds disagree")
         self.dual = self.d3_op.grid_kind == "dual"
-        size = 2 * n if self.dual else n
-        self._work = np.empty(size)  # first(g(u)) inside semidiscrete_rhs
-        if size <= DENSE_LIMIT:
-            self._d3 = self.d3_op.dense_matrix()
-            self._d1 = self.d1_op.dense_matrix()
-        else:
-            self._d3 = self._d1 = None
+        self._work = np.empty(self.d1_op.size)  # first(g(u)) inside semidiscrete_rhs
 
     def nodes(self) -> np.ndarray:
         return self.x_lo + self.h * np.arange(self.n)
@@ -255,19 +256,10 @@ class Discretization:
         return self.x_lo + 0.5 * self.h * np.arange(2 * self.n)
 
     def third(self, values: np.ndarray, out=None) -> np.ndarray:
-        return self._apply(self._d3, self.d3_op, values, out)
+        return self.d3_op.matvec(values, out=out)
 
     def first(self, values: np.ndarray, out=None) -> np.ndarray:
-        return self._apply(self._d1, self.d1_op, values, out)
-
-    @staticmethod
-    def _apply(dense, op, values, out):
-        if dense is not None:
-            return np.matmul(dense, values, out=out)
-        if out is None:
-            return op.apply_fft(values)
-        out[...] = op.apply_fft(values)
-        return out
+        return self.d1_op.matvec(values, out=out)
 
     def initial_state(self, problem: KdvProblem):
         """Sample u0 directly (centers sampled, never interpolated)."""
@@ -408,6 +400,9 @@ def integrate(problem: KdvProblem, disc: Discretization,
                          mass0, mass0, mass_scale, [])
 
     dt_nominal = config.timestep(disc.h)
+    if not (dt_nominal > 0 and math.isfinite(t_final / dt_nominal)):
+        raise ValueError(f"time step {dt_nominal:.3g} gives no finite step "
+                         f"count to t_final={t_final:.6g}")
     n_steps = max(1, round(t_final / dt_nominal))
     dt = t_final / n_steps
     check_timestep(problem, disc, dt)
@@ -415,7 +410,7 @@ def integrate(problem: KdvProblem, disc: Discretization,
     filt = None
     if config.filter is not None:
         spec = filter_by_name(config.filter.name, config.filter.alpha_f)
-        filt = FilterOperator(spec, disc.n)
+        filt = FilterOperator(spec, disc.n, disc.d3_op.grid_kind)
 
     def rhs(v, out):
         semidiscrete_rhs(problem, disc, v, out=out)
@@ -433,11 +428,7 @@ def integrate(problem: KdvProblem, disc: Discretization,
                 stepper.step(values, rhs, dt, step_index=step, time=t)
                 t = step * dt
                 if filt is not None and step % config.filter.every == 0:
-                    if disc.dual:
-                        values[0::2] = filt.apply_array(values[0::2])
-                        values[1::2] = filt.apply_array(values[1::2])
-                    else:
-                        values[:] = filt.apply_array(values)
+                    filt.matvec(values, out=values)
                 if config.record_every and step % config.record_every == 0:
                     history.append((t, disc.node_values(values).copy()))
     except DivergenceError as err:
@@ -559,6 +550,8 @@ def max_workers() -> int:
 def convergence_study(preset: str, family: str, ns: list[int],
                       config: RunConfig, params: dict | None = None,
                       parallel: bool = True) -> ConvergenceReport:
+    if not ns:
+        raise ValueError("Ns must list at least one N")
     if list(ns) != sorted(set(ns)):
         raise ValueError("Ns must be strictly increasing")
     params = dict(params or {})

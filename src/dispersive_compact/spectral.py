@@ -191,8 +191,8 @@ def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
     the first exceedance; the two agree whenever the error grows monotonely.
     Dense scan over (0, pi) followed by bisection to |dw| <= 1e-5.
     """
-    if eps_t <= 0:
-        raise ValueError("eps_t must be positive")
+    if not eps_t > 0:
+        raise ValueError(f"eps_t must be positive, got {eps_t}")
     if mode not in ("band_edge", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     sym = scheme_symbol(scheme_id)

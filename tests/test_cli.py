@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, configs, artifact formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersive_compact import spectral
 from dispersive_compact.cli import (
@@ -268,3 +272,89 @@ def test_filter_flag_parsing():
 def test_bad_flag_value_is_usage_error(capsys):
     assert run_cli("run", "--example", "linear", "--scheme", "weird") == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--N", "0"),
+    ("converge", "--Ns", "0,10", "--serial"),
+    ("converge", "--Ns", ","),
+    ("run", "--example", "linear", "--c", "0"),
+    ("run", "--example", "linear", "--c", "1e-320"),
+    ("run", "--example", "linear", "--c", "nan"),
+    ("run", "--example", "linear", "--c", "inf"),
+    ("run", "--example", "single_soliton", "--eps", "0"),
+    ("run", "--example", "single_soliton", "--c", "-0.3"),
+    ("run", "--example", "single_soliton", "--x0", "inf"),
+    ("run", "--example", "triple_soliton", "--eps", "0"),
+    ("run", "--example", "dispersion_limit", "--eps", "nan"),
+    ("run", "--cfl", "1e-320"),
+    ("run", "--dt-rule", "fixed", "--dt", "1e-320"),
+    ("efficiency", "--schemes", "TDCNCS-T8", "--eps", "nan"),
+])
+def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+# Each fuzz draw gives valid values to all but at most two of its flags, which
+# get hostile ones.  t_final stays <= 1e-3 and N <= 32, so that no draw runs
+# more than ~10^3 steps.
+VALID = {
+    "--N": ("8", "16", "32"), "--c": ("1", "8"), "--eps": ("1e-3", "0.5"),
+    "--x0": ("0.5",), "--cfl": ("0.5", "4"), "--dt": ("1e-4", "1e-5"),
+    "--t-final": ("1e-4", "1e-3"), "--Ns": ("8,16", "16,32", "16"),
+    "--filter": ("F12:0.4:1", "F8:-0.2:3"),
+}
+HOSTILE = ("0", "-1", "inf", "-inf", "nan", "1e-320", "1e300")
+HOSTILE_POOLS = {flag: HOSTILE for flag in VALID}
+HOSTILE_POOLS["--t-final"] = ("0", "-1", "inf", "-inf", "nan", "1e-320")
+HOSTILE_POOLS["--Ns"] = ("0,10", ",", "-4,8", "nan", "32,16", "1e300")
+HOSTILE_POOLS["--filter"] = ("F10:0.6:1", "F12:nan:1", "F12:0.4:0", "F8:0.2")
+# the flags each preset takes, beyond those of every run
+PRESET_FLAGS = {
+    "linear": ("--c",), "soliton": (), "single_soliton": ("--c", "--eps", "--x0"),
+    "double_soliton": ("--eps",), "triple_soliton": ("--eps",),
+    "dispersion_limit": ("--eps",), "tophat": ("--eps",),
+}
+
+
+@st.composite
+def _experiment_argv(draw, command, examples):
+    example = draw(st.sampled_from(examples))
+    flags = ["--cfl", "--dt", "--t-final", *PRESET_FLAGS[example]]
+    flags.append("--N" if command == "run" else "--Ns")
+    if draw(st.booleans()):
+        flags.append("--filter")
+    hostile = draw(st.sets(st.sampled_from(flags), max_size=2))
+    argv = [command, "--example", example,
+            "--scheme", draw(st.sampled_from(("tdcncs", "tdccs"))),
+            "--dt-rule", draw(st.sampled_from(("cfl_h3", "half_h2", "fixed")))]
+    for flag in flags:
+        pool = HOSTILE_POOLS[flag] if flag in hostile else VALID[flag]
+        argv += [flag, draw(st.sampled_from(pool))]
+    return argv + (["--serial"] if command == "converge" else [])
+
+
+def _dispatch_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), (argv, code)
+    if code != EXIT_OK:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert lines[0].startswith(("error:", "numerical failure:")), (argv, lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_experiment_argv("run", sorted(PRESET_FLAGS)))
+def test_run_fuzz_never_raises(argv):
+    _dispatch_quietly(argv)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=_experiment_argv("converge", ("linear", "soliton", "single_soliton")))
+def test_converge_fuzz_never_raises(argv):
+    _dispatch_quietly(argv)

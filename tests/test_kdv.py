@@ -8,6 +8,7 @@ import pytest
 
 from dispersive_compact import kdv
 from dispersive_compact.operators import (
+    DENSE_LIMIT,
     DualGridFunction,
     FilterOperator,
     GridFunction,
@@ -251,11 +252,15 @@ def _oracle_state(problem, disc, config):
     t_final = problem.t_final if config.t_final is None else config.t_final
     n_steps = max(1, round(t_final / config.timestep(disc.h)))
     dt = t_final / n_steps
-    if (2 * disc.n if disc.dual else disc.n) <= kdv.DENSE_LIMIT:
-        d3, d1 = disc.d3_op.dense_matrix(), disc.d1_op.dense_matrix()
-        third, first = (lambda v: d3 @ v), (lambda v: d1 @ v)
-    else:
-        third, first = disc.d3_op.apply_fft, disc.d1_op.apply_fft
+
+    def by_rule(op):
+        # the dense/FFT rule of CompactOperator.matvec
+        if op.size <= DENSE_LIMIT:
+            dense = op.dense_matrix()
+            return lambda v: dense @ v
+        return op.apply_fft
+
+    third, first = by_rule(disc.d3_op), by_rule(disc.d1_op)
 
     def rate(v):
         r = -problem.epsilon * third(v)
@@ -265,15 +270,16 @@ def _oracle_state(problem, disc, config):
 
     filt = None
     if config.filter is not None:
-        filt = FilterOperator(
-            filter_by_name(config.filter.name, config.filter.alpha_f), disc.n)
+        filt = by_rule(FilterOperator(
+            filter_by_name(config.filter.name, config.filter.alpha_f), disc.n,
+            disc.d3_op.grid_kind))
     u = disc.initial_state(problem)
     for step in range(1, n_steps + 1):
         u1 = u + dt * rate(u)
         u2 = 0.75 * u + 0.25 * u1 + (0.25 * dt) * rate(u1)
         u = (1.0 / 3.0) * u + (2.0 / 3.0) * u2 + (2.0 / 3.0 * dt) * rate(u2)
         if filt is not None and step % config.filter.every == 0:
-            u = filt.apply_array(u)  # the filtered cell is node-only
+            u = filt(u)
     return u
 
 
@@ -290,6 +296,13 @@ def _dispersion_limit_10_steps(n):
         dt_rule="half_h2", t_final=0.05,
         filter=kdv.FilterConfig("F12", 0.4, 20))),
     ("dispersion_limit", {}, "TDCCS", 256, _dispersion_limit_10_steps(256)),
+    # dual-kind filters: dense (size 200) and FFT (size 400) paths
+    ("triple_soliton", {}, "TDCCS", 100, kdv.RunConfig(
+        dt_rule="half_h2", t_final=0.05,
+        filter=kdv.FilterConfig("F10", 0.2, 7))),
+    ("triple_soliton", {}, "TDCCS", 200, kdv.RunConfig(
+        dt_rule="half_h2", t_final=0.002,
+        filter=kdv.FilterConfig("F12", 0.4, 3))),
 ])
 def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     problem = kdv.make_problem(preset, **params)

@@ -6,6 +6,7 @@ import pytest
 from dispersive_compact import exact, spectral
 from dispersive_compact.banded import SingularOperatorError, check_invertible
 from dispersive_compact.operators import (
+    DENSE_LIMIT,
     CompactOperator,
     DualGridFunction,
     FilterOperator,
@@ -199,11 +200,43 @@ def test_unknown_filter_name():
         filter_by_name("F99", 0.4)
 
 
-def test_dual_filter_applies_per_sequence():
-    n = 32
-    filt = FilterOperator(filter_by_name("F12", 0.4), n)
+@pytest.mark.parametrize("name", ["F8", "F10", "F12"])
+@pytest.mark.parametrize("grid_kind", ["node_only", "dual"])
+def test_filter_matvec_matches_banded_apply(name, grid_kind):
+    # circulant sizes just below and above the dense limit 384
+    ns = (191, 192, 193) if grid_kind == "dual" else (383, 384, 385)
+    rng = np.random.default_rng(13)
+    for n in ns:
+        filt = FilterOperator(filter_by_name(name, 0.4), n, grid_kind)
+        assert filt._dense is None  # built on the first dense-path apply
+        v = rng.normal(size=filt.size)
+        ref = filt.apply_array(v)
+        got = filt.matvec(v)
+        assert (filt._dense is not None) == (filt.size <= DENSE_LIMIT)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+        # in place, as the time loop applies it
+        assert np.array_equal(filt.matvec(v, out=v), got)
+        assert np.array_equal(v, got)
+
+
+@pytest.mark.parametrize("n", [32, 193])
+def test_dual_filter_filters_each_parity_as_a_node_filter(n):
+    # at n = 193 the dual filter (size 386) takes the FFT path and the node
+    # filter the dense one
+    spec = filter_by_name("F12", 0.4)
+    node, dual = FilterOperator(spec, n), FilterOperator(spec, n, "dual")
     rng = np.random.default_rng(11)
     f = DualGridFunction(rng.normal(size=n), rng.normal(size=n), 0.1)
-    out = filt.apply_dual(f)
-    assert np.allclose(out.node_values, filt.apply_array(f.node_values))
-    assert np.allclose(out.center_values, filt.apply_array(f.center_values))
+    fine = dual.matvec(f.fine())
+    scale = np.max(np.abs(fine))
+    assert np.max(np.abs(fine[0::2] - node.matvec(f.node_values))) <= 1e-14 * scale
+    assert np.max(np.abs(fine[1::2] - node.matvec(f.center_values))) <= 1e-14 * scale
+    out = dual.apply(f)
+    assert np.array_equal(out.node_values, node.apply_array(f.node_values))
+    assert np.array_equal(out.center_values, node.apply_array(f.center_values))
+
+
+def test_filter_width_bound():
+    with pytest.raises(ValueError, match="too small for filter width 6"):
+        FilterOperator(filter_by_name("F12", 0.4), 12, "dual")
+    assert FilterOperator(filter_by_name("F12", 0.4), 13, "dual").size == 26
