@@ -211,13 +211,7 @@ def order_conditions(
                     f"RHS reproduces a spurious derivative of degree {degree}"
                 )
             continue
-        eq = {k: F(0) for k in ALL_UNKNOWNS}
-        eq["alpha"] = lhs["alpha"]
-        eq["beta"] = lhs["beta"]
-        eq["const"] = lhs["one"]
-        for slot, v in rhs.items():
-            eq[slot] -= v
-        conditions.append(eq)
+        conditions.append(_condition(lhs, rhs))
     return conditions
 
 
@@ -302,8 +296,12 @@ def order_conditions_single(
     template: SchemeTemplate, degree: int
 ) -> dict[str, Fraction]:
     """The single linear constraint arising from one Taylor degree."""
-    lhs = _lhs_taylor_coeff(template, degree)
-    rhs = _rhs_taylor_coeff(template, degree)
+    return _condition(_lhs_taylor_coeff(template, degree),
+                      _rhs_taylor_coeff(template, degree))
+
+
+def _condition(lhs, rhs) -> dict[str, Fraction]:
+    """One degree's Taylor coefficients as sum(coef * unknown) + const = 0."""
     eq = {k: F(0) for k in ALL_UNKNOWNS}
     eq["alpha"] = lhs["alpha"]
     eq["beta"] = lhs["beta"]

@@ -115,25 +115,17 @@ def tap_sum(taps, omega, odd: bool, backend=_NUMPY):
 
     Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
     (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
-    are read.  Terms at whole-point (even m) and half-point (odd m) offsets are
-    summed apart and added last: near w = 0 the alpha = -1/2 schemes cancel the
-    sum to its last digit, so the grouping fixes their float psi.
+    are read.
     """
     cos, sin, num = backend
     trig = sin if odd else cos
-    whole = half = 0
+    out = 0
     for m, w in taps:
         if m > 0:
-            term = 2 * num(w) * trig(m * omega / 2)
+            out = out + 2 * num(w) * trig(m * omega / 2)
         elif m == 0 and not odd:
-            term = num(w)
-        else:
-            continue
-        if m % 2:
-            half = half + term
-        else:
-            whole = whole + term
-    return whole + half
+            out = out + num(w)
+    return out
 
 
 def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import exact
 from .banded import SingularOperatorError
-from .operators import _NUMPY, circulant_symbol, lhs_symbol, tap_sum
+from .operators import circulant_symbol, lhs_symbol, tap_sum
 
 
 @dataclass(frozen=True)
@@ -40,43 +41,100 @@ class SchemeSymbol:
     formal_order: int
     transfer: "SchemeSymbol | None" = None  # interpolation factor (CI variants)
 
-    def _ratio(self, omega, backend):
-        """psi(w) for odd d, T(w) for d = 0, times the CI transfer if composed.
-
-        On e^{ikx} the scheme acts as i^d B(w)/A(w), and B carries a factor i
-        for antisymmetric taps, so one real sign covers d = 0, 1 and 3.
-        """
-        cos, _, num = backend
-        den = lhs_symbol(num(self.alpha), num(self.beta), omega, cos)
-        if np.size(den) and np.min(np.abs(den)) < 1e-14:
-            raise SingularOperatorError(
-                f"denominator of {self.scheme_id} vanishes in the requested range"
-            )
-        sign = -1 if self.derivative_order % 4 == 3 else 1
+    @functools.cached_property
+    def _factored(self):
+        """Exact (k_r, P, A) with psi (odd d) or T (d = 0), before the CI
+        transfer, equal to s * prod_r (y - r)^k_r * P(y)/A(y) for r = 0, 1, 2,
+        where y = 1 - x, x = cos(w/2), s = sin(w/2) for odd taps and 1 for even
+        ones: sin(m w/2) = s U_{m-1}(x), cos(m w/2) = T_m(x), A = 1 +
+        2 alpha T_2(x) + 2 beta T_4(x).  The zeros at w = 0, pi and 2 pi, where
+        the trigonometric sums cancel, are divided out exactly."""
         odd = self.derivative_order % 2 == 1
-        out = sign * tap_sum(self.taps, omega, odd, backend) / den
+        count = max(4, *(m for m, _ in self.taps)) + 1
+        cheb_t = _chebyshev_in_y([1, -1], count)
+        cheb_u = _chebyshev_in_y([2, -2], count)
+        sign = -1 if self.derivative_order % 4 == 3 else 1
+        num = sum(sign * 2 * w * (cheb_u[m - 1] if odd else cheb_t[m])
+                  for m, w in self.taps if m > 0)
+        if not odd:
+            num = num + sum(w * cheb_t[0] for m, w in self.taps if m == 0)
+        den = cheb_t[0] + 2 * self.alpha * cheb_t[2] + 2 * self.beta * cheb_t[4]
+        powers = []
+        for root in (0, 1, 2):
+            k_num, num = _divide_out(num, root)
+            k_den, den = _divide_out(den, root)
+            powers.append(k_num - k_den)
+        return powers, np.array(num, dtype=float), np.array(den, dtype=float)
+
+    def _float(self, omega):
+        powers, num, den = self._factored
+        # y - r for r = 0, 1, 2, each accurate near its own zero
+        factors = (2.0 * np.sin(omega / 4.0) ** 2, -np.cos(omega / 2.0),
+                   -2.0 * np.cos(omega / 4.0) ** 2)
+        out = polyval(factors[0], num) / polyval(factors[0], den)
+        for factor, k in zip(factors, powers):
+            out = out * factor ** k
+        if self.derivative_order % 2 == 1:
+            out = out * np.sin(omega / 2.0)
         if self.transfer is not None:
-            out = out * self.transfer._ratio(omega, backend)
+            out = out * self.transfer._float(omega)
         return out
 
     def psi(self, omega):
         """Scaled modified wavenumber psi(w); w may exceed pi for fine modes."""
         if self.derivative_order % 2 == 0:
             raise ValueError("psi is defined for odd derivative orders")
-        return self._ratio(np.asarray(omega, dtype=float), _NUMPY)
+        return self._float(np.asarray(omega, dtype=float))
 
     def transfer_function(self, omega):
         """Real per-mode amplitude T(w) of an interpolation (d = 0) scheme."""
         if self.derivative_order != 0:
             raise ValueError("transfer function requires derivative order 0")
-        return self._ratio(np.asarray(omega, dtype=float), _NUMPY)
+        return self._float(np.asarray(omega, dtype=float))
 
     def psi_mp(self, omega):
-        """Arbitrary-precision psi at mpmath's working precision."""
+        """psi(w) (T(w) for d = 0), times the CI transfer if composed, at
+        mpmath's working precision from the direct sums B(w)/A(w): the oracle
+        the float evaluation is tested against.
+
+        On e^{ikx} the scheme acts as i^d B(w)/A(w), and B carries a factor i
+        for antisymmetric taps, so one real sign covers d = 0, 1 and 3.
+        """
         import mpmath as mp
 
         backend = (mp.cos, mp.sin, lambda q: mp.mpf(q.numerator) / q.denominator)
-        return self._ratio(mp.mpf(omega), backend)
+        omega, num = mp.mpf(omega), backend[2]
+        den = lhs_symbol(num(self.alpha), num(self.beta), omega, mp.cos)
+        sign = -1 if self.derivative_order % 4 == 3 else 1
+        odd = self.derivative_order % 2 == 1
+        out = sign * tap_sum(self.taps, omega, odd, backend) / den
+        if self.transfer is not None:
+            out = out * self.transfer.psi_mp(omega)
+        return out
+
+
+def _chebyshev_in_y(first, count):
+    """T_k (first = [1, -1]) or U_k (first = [2, -2]) of x = 1 - y for k < count,
+    as exact coefficient arrays of count terms in ascending powers of y."""
+    polys = [np.array([1] + [0] * (count - 1), dtype=object),
+             np.array(first + [0] * (count - 2), dtype=object)]
+    while len(polys) < count:
+        p = polys[-1]
+        polys.append(2 * p - 2 * np.roll(p, 1) - polys[-2])  # 2 x p - q
+    return polys
+
+
+def _divide_out(poly, root):
+    """(j, q) with poly(y) = (y - root)^j q(y) and q(root) != 0, exactly."""
+    j = 0
+    while True:
+        quotient, acc = [], 0
+        for c in reversed(poly):  # synthetic division, highest power first
+            acc = acc * root + c
+            quotient.append(acc)
+        if acc != 0:
+            return j, poly
+        poly, j = quotient[-2::-1], j + 1
 
 
 def _symbol_from_parts(scheme_id, template, coeffs, transfer=None) -> SchemeSymbol:
@@ -198,20 +256,14 @@ def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
     sym = scheme_symbol(scheme_id)
     d = sym.derivative_order
 
-    def err_precise(w):
-        # the T6 schemes (alpha = -1/2) lose all float digits near w = 0, so
-        # borderline points are confirmed in extended precision
-        import mpmath as mp
-
-        with mp.workdps(40):
-            wv = mp.mpf(w)
-            return float(abs(sym.psi_mp(wv) - wv ** d) / wv ** d)
+    def err(w):
+        return np.abs(sym.psi(w) - w ** d) / w ** d
 
     def refine(lo, hi):
         # invariant: lo in tolerance, hi out of tolerance
         while hi - lo > 1e-5:
             mid = 0.5 * (lo + hi)
-            if err_precise(mid) > eps_t:
+            if err(mid) > eps_t:
                 hi = mid
             else:
                 lo = mid
@@ -219,23 +271,18 @@ def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
 
     # midpoint grid: avoids w = pi exactly, where T4-type denominators vanish
     omega = (np.arange(1, samples + 1) - 0.5) * np.pi / samples
-    err = np.abs(sym.psi(omega) - omega ** d) / omega ** d
-    wf = float(omega[0])
     if mode == "strict":
+        beyond = np.nonzero(err(omega) > eps_t)[0]
         wf = np.pi
-        for k in np.nonzero(err > eps_t)[0]:
-            if omega[k] > 0.5 or err_precise(omega[k]) > eps_t:
-                lo = float(omega[k - 1]) if k > 0 else float(omega[0])
-                wf = refine(lo, float(omega[k]))
-                break
+        if beyond.size:
+            k = beyond[0]
+            wf = refine(float(omega[max(k - 1, 0)]), float(omega[k]))
     else:
-        for k in np.nonzero(err <= eps_t)[0][::-1]:
-            if omega[k] > 0.5 or err_precise(omega[k]) <= eps_t:
-                if k == samples - 1:
-                    wf = np.pi
-                else:
-                    wf = refine(float(omega[k]), float(omega[k + 1]))
-                break
+        within = np.nonzero(err(omega) <= eps_t)[0]
+        wf = float(omega[0])
+        if within.size:
+            k = within[-1]
+            wf = np.pi if k == samples - 1 else refine(float(omega[k]), float(omega[k + 1]))
     return EfficiencyResult(omega_f=wf, e=wf / np.pi, eps_t=eps_t)
 
 

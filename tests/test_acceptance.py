@@ -399,8 +399,10 @@ def test_criterion_10_zero_dispersion():
     finite = bool(np.all(np.isfinite(run.state.values)))
     ok = finite and run.t_final == 0.5 and run.mass_drift < 1e-8
     elapsed = time.perf_counter() - t0
-    # eps <= 1e-6 cases need N >= 800 at dt = h^2 and run for hours; they are
-    # exercised only through the CLI presets, not in the default suite
+    # eps <= 1e-6 cases need N >= 800 at dt = h^2 and take minutes to t = 0.5
+    # (measured ~81 s for TDCNCS N=800, ~114 s for TDCCS N=800 and ~460 s for
+    # TDCNCS N=1600); they are exercised only through the CLI presets, not in
+    # the default suite
     report(
         10, ok,
         f"eps=1e-4, N=100 run to t=0.5: finite={finite}, "

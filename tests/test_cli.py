@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +291,8 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("run", "--cfl", "1e-320"),
     ("run", "--dt-rule", "fixed", "--dt", "1e-320"),
     ("efficiency", "--schemes", "TDCNCS-T8", "--eps", "nan"),
+    ("run", "--example", "linear", "--c", "1.5"),
+    ("run", "--example", "linear", "--N", "10", "--t-final", "1e300"),
 ])
 def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
     assert run_cli(*argv) == EXIT_USAGE
@@ -299,8 +302,9 @@ def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
 
 
 # Each fuzz draw gives valid values to all but at most two of its flags, which
-# get hostile ones.  t_final stays <= 1e-3 and N <= 32, so that no draw runs
-# more than ~10^3 steps.
+# get hostile ones.  Valid values keep t_final <= 1e-3 and N <= 32, so that no
+# draw runs more than ~10^3 steps; a hostile t_final of 1e300 asks for more
+# steps than integrate accepts.
 VALID = {
     "--N": ("8", "16", "32"), "--c": ("1", "8"), "--eps": ("1e-3", "0.5"),
     "--x0": ("0.5",), "--cfl": ("0.5", "4"), "--dt": ("1e-4", "1e-5"),
@@ -309,7 +313,6 @@ VALID = {
 }
 HOSTILE = ("0", "-1", "inf", "-inf", "nan", "1e-320", "1e300")
 HOSTILE_POOLS = {flag: HOSTILE for flag in VALID}
-HOSTILE_POOLS["--t-final"] = ("0", "-1", "inf", "-inf", "nan", "1e-320")
 HOSTILE_POOLS["--Ns"] = ("0,10", ",", "-4,8", "nan", "32,16", "1e300")
 HOSTILE_POOLS["--filter"] = ("F10:0.6:1", "F12:nan:1", "F12:0.4:0", "F8:0.2")
 # the flags each preset takes, beyond those of every run
@@ -335,6 +338,15 @@ def _experiment_argv(draw, command, examples):
         pool = HOSTILE_POOLS[flag] if flag in hostile else VALID[flag]
         argv += [flag, draw(st.sampled_from(pool))]
     return argv + (["--serial"] if command == "converge" else [])
+
+
+def test_spectral_commands_run_without_mpmath(monkeypatch):
+    # mpmath is a test-only dependency: psi_mp imports it, nothing else may
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert spectral.resolving_efficiency("TDCCS-T6", 1e-4).e > 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["spectrum", "--scheme", "TDCCS-T6"]) == EXIT_OK
+        assert dispatch(["efficiency", "--schemes", "all"]) == EXIT_OK
 
 
 def _dispatch_quietly(argv):

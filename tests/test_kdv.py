@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dispersive_compact import kdv
+from dispersive_compact import kdv, spectral
 from dispersive_compact.operators import (
     DENSE_LIMIT,
     DualGridFunction,
@@ -150,6 +151,20 @@ def test_timestep_guard_warns():
     d = kdv.Discretization("TDCNCS", 40, p.length, p.x_lo)
     with pytest.warns(UserWarning):
         kdv.check_timestep(p, d, dt=1.0)
+
+
+def test_timestep_guard_uses_the_run_operator():
+    # at N = 20 the radius of the run's own operator lies a few percent below
+    # the one at N = 256, so a dt just under the run's bound is stable
+    p = kdv.make_problem("linear", c=1.0)
+    d = kdv.Discretization("TDCNCS", 20, p.length, p.x_lo)
+    radius = np.max(np.abs(d.d3_op.symbol)) * d.h ** 3
+    bound = spectral.IMAG_AXIS_LIMIT_TVDRK3 * d.h ** 3 / (p.epsilon * radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kdv.check_timestep(p, d, dt=0.999 * bound)
+    with pytest.warns(UserWarning, match="dispersive stability bound"):
+        kdv.check_timestep(p, d, dt=1.001 * bound)
 
 
 def test_linear_example_matches_table_row():

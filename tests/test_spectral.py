@@ -157,3 +157,26 @@ def test_float_transfer_matches_mpmath_oracle():
             den = 1 + 2 * q(sym.alpha) * mp.cos(wm) + 2 * q(sym.beta) * mp.cos(2 * wm)
             ref = num / den
             assert abs(float(t) - ref) <= 1e-12 * max(1, abs(ref))
+
+
+def test_float_psi_keeps_relative_precision_near_zeros():
+    # relative, not absolute: psi - w^3 cancels near w = 0, and A or B vanish
+    # at w = pi and 2 pi for some schemes
+    ids = [sid for sid in spectral.analysis_scheme_ids()
+           if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
+    assert len(ids) == 87
+    log_grid = np.geomspace(1e-4, np.pi, 61)[:-1]
+    fine_modes = np.linspace(np.pi, 2 * np.pi, 17)
+    worst = (0.0, None, None)
+    with mp.workdps(50):
+        for sid in ids:
+            sym = spectral.scheme_symbol(sid)
+            omega = log_grid
+            if sym.grid_kind == "dual":
+                omega = np.concatenate([log_grid, fine_modes])
+            for w, p in zip(omega, sym.psi(omega)):
+                ref = sym.psi_mp(w)
+                err = float(abs(p - ref) / abs(ref))
+                if err > worst[0]:
+                    worst = (err, sid, w)
+    assert worst[0] <= 1e-12, worst
