@@ -34,43 +34,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# Per-command defaults.  argparse flags all default to None so that an
-# explicitly passed flag can be told apart from an omitted one; the effective
-# configuration is defaults <- config file <- explicit flags.
-_DEFAULTS = {
-    "coeffs": {"scheme": "TDCCS-T8", "format": "text", "out": None},
-    "spectrum": {"scheme": "TDCCS-T8", "samples": 400, "out": None},
-    "efficiency": {
-        "schemes": "all", "eps": 1e-3, "mode": "band_edge", "out": None,
-    },
-    "stability": {
-        "scheme": "TDCCS-T8", "n": 1024, "integrator": "TVDRK3", "out": None,
-    },
-    "filter-analyze": {
-        "name": "F12", "alpha_f": 0.4, "samples": 400, "out": None,
-    },
-    "ls-optimize": {
-        "family": "TDCCS", "variant": "T8", "r": 1.0, "format": "text",
-        "out": None,
-    },
-    "run": {
-        "example": "linear", "c": None, "eps": None, "x0": None,
-        "scheme": "TDCNCS", "order": 8, "n": 100, "t_final": None,
-        "dt_rule": "cfl_h3", "cfl": 0.01, "dt": None, "filter": None,
-        "snapshot": None, "out": None,
-    },
-    "converge": {
-        "example": "linear", "c": None, "eps": None, "x0": None,
-        "scheme": "TDCNCS", "order": 8, "ns": "10,20,30,40",
-        "dt_rule": "cfl_h3", "cfl": 0.01, "dt": None, "filter": None,
-        "t_final": None, "out": None, "json": None, "serial": None,
-    },
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="dispersive-compact", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices  # command name -> its parser
 
     def cmd(name, help):
         p = sub.add_parser(name, help=help)
@@ -80,63 +47,68 @@ def build_parser() -> _Parser:
         return p
 
     p = cmd("coeffs", "print exact scheme coefficients")
-    p.add_argument("--scheme")
-    p.add_argument("--format", choices=["text", "json"])
+    p.add_argument("--scheme", default="TDCCS-T8")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="output file (default stdout)")
 
     p = cmd("spectrum", "modified-wavenumber table as CSV")
-    p.add_argument("--scheme")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--scheme", default="TDCCS-T8")
+    p.add_argument("--samples", type=int, default=400)
     p.add_argument("--out")
 
     p = cmd("efficiency", "resolving-efficiency table as CSV")
-    p.add_argument("--schemes", help="comma list of scheme ids, or 'all'")
-    p.add_argument("--eps", type=float, help="tolerance eps_t")
-    p.add_argument("--mode", choices=["band_edge", "strict"])
+    p.add_argument("--schemes", default="all",
+                   help="comma list of scheme ids, or 'all'")
+    p.add_argument("--eps", type=float, default=1e-3, help="tolerance eps_t")
+    p.add_argument("--mode", choices=["band_edge", "strict"],
+                   default="band_edge")
     p.add_argument("--out")
 
     p = cmd("stability", "spectral radius and CFL bound")
-    p.add_argument("--scheme")
-    p.add_argument("--n", type=int)
-    p.add_argument("--integrator", choices=["TVDRK3"])
+    p.add_argument("--scheme", default="TDCCS-T8")
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--integrator", choices=["TVDRK3"], default="TVDRK3")
     p.add_argument("--out")
 
     p = cmd("filter-analyze", "filter transfer function as CSV")
-    p.add_argument("--name", choices=sorted(FILTER_ORDERS))
-    p.add_argument("--alpha-f", dest="alpha_f", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--name", choices=sorted(FILTER_ORDERS), default="F12")
+    p.add_argument("--alpha-f", dest="alpha_f", type=float, default=0.4)
+    p.add_argument("--samples", type=int, default=400)
     p.add_argument("--out")
 
     p = cmd("ls-optimize", "least-squares optimized coefficients")
-    p.add_argument("--family")
-    p.add_argument("--variant")
-    p.add_argument("--r", type=float, help="integration range as fraction of pi")
-    p.add_argument("--format", choices=["text", "json"])
+    p.add_argument("--family", default="TDCCS")
+    p.add_argument("--variant", default="T8")
+    p.add_argument("--r", type=float, default=1.0,
+                   help="integration range as fraction of pi")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 
     def experiment_flags(p):
-        p.add_argument("--example", help="problem preset")
+        p.add_argument("--example", default="linear", help="problem preset")
         p.add_argument("--c", type=float)
         p.add_argument("--eps", type=float)
         p.add_argument("--x0", type=float)
-        p.add_argument("--scheme", help="family: tdcncs or tdccs")
-        p.add_argument("--order", type=int)
-        p.add_argument("--dt-rule", dest="dt_rule",
+        p.add_argument("--scheme", default="TDCNCS",
+                       help="family: tdcncs or tdccs")
+        p.add_argument("--order", type=int, default=8)
+        p.add_argument("--dt-rule", dest="dt_rule", default="cfl_h3",
                        choices=["cfl_h3", "half_h2", "h2", "fixed"])
-        p.add_argument("--cfl", type=float)
+        p.add_argument("--cfl", type=float, default=0.01)
         p.add_argument("--dt", type=float)
         p.add_argument("--filter", help="NAME:ALPHA_F:EVERY, e.g. F12:0.4:20")
         p.add_argument("--t-final", dest="t_final", type=float)
 
     p = cmd("run", "integrate one experiment")
     experiment_flags(p)
-    p.add_argument("--N", dest="n", type=int)
+    p.add_argument("--N", dest="n", type=int, default=100)
     p.add_argument("--snapshot", help="final-state CSV path")
     p.add_argument("--out", help="summary JSON path (default stdout)")
 
     p = cmd("converge", "convergence study over a list of N")
     experiment_flags(p)
-    p.add_argument("--Ns", dest="ns", help="comma list, e.g. 10,20,30,40")
+    p.add_argument("--Ns", dest="ns", default="10,20,30,40",
+                   help="comma list, e.g. 10,20,30,40")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", help="also write the report as JSON here")
     p.add_argument("--serial", action="store_const", const=True,
@@ -160,23 +132,42 @@ def load_config(path) -> dict:
     return doc
 
 
-def effective_config(command: str, args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[command]
-    cfg = dict(defaults)
-    if args.config:
+# namespace entries that steer the front end rather than configure a command
+_META = ("command", "config", "dump_config")
+
+
+def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
+    """The parsed arguments and the command's settings: flag defaults,
+    overridden by the --config file, overridden by explicit flags."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        command = parser.commands[args.command]
+        flags = {a.dest: a for a in command._actions
+                 if a.dest not in (*_META, "help")}
         file_cfg = load_config(args.config)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(flags))
         if unknown:
             raise UsageError(
                 f"unknown config key(s) {', '.join(unknown)}; "
-                f"valid: {', '.join(sorted(defaults))}"
+                f"valid: {', '.join(sorted(flags))}"
             )
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+        for key, val in file_cfg.items():
+            flag = flags[key]
+            if (val is None and flag.default is not None
+                    or flag.nargs == 0 and val not in (None, True, False)):
+                raise UsageError(
+                    f"config key {key} cannot be {json.dumps(val)}")
+            if val is not None and flag.nargs != 0:
+                # as text, argparse converts or refuses a default as it would
+                # the same text on the command line; it checks no choices there
+                file_cfg[key] = val = str(val)
+                if flag.choices and val not in flag.choices:
+                    raise UsageError(
+                        f"config key {key}: invalid choice {val!r} "
+                        f"(choose from {', '.join(flag.choices)})")
+        command.set_defaults(**file_cfg)
+        args = parser.parse_args(argv)
+    return args, {k: v for k, v in vars(args).items() if k not in _META}
 
 
 def dump_config(cfg: dict, path: str) -> None:
@@ -228,7 +219,7 @@ def _cmd_coeffs(cfg) -> int:
 
 def _cmd_spectrum(cfg) -> int:
     spectral.write_spectrum_csv(cfg["out"] or sys.stdout, cfg["scheme"],
-                                int(cfg["samples"]))
+                                cfg["samples"])
     return EXIT_OK
 
 
@@ -238,23 +229,21 @@ def _cmd_efficiency(cfg) -> int:
         ids = [sid for sid in spectral.analysis_scheme_ids()
                if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
     else:
-        ids = [s.strip() for s in str(cfg["schemes"]).split(",") if s.strip()]
+        ids = [s.strip() for s in cfg["schemes"].split(",") if s.strip()]
     rows = []
     for sid in ids:
-        res = spectral.resolving_efficiency(
-            sid, eps_t=float(cfg["eps"]), mode=cfg["mode"]
-        )
+        res = spectral.resolving_efficiency(sid, cfg["eps"], cfg["mode"])
         rows.append([sid, f"{res.omega_f:.4f}", f"{res.e:.4f}"])
     _write_rows(cfg["out"], ["scheme", "omega_f", "e"], rows)
     return EXIT_OK
 
 
 def _cmd_stability(cfg) -> int:
-    lam = spectral.circulant_eigenvalues(cfg["scheme"], int(cfg["n"]))
+    lam = spectral.circulant_eigenvalues(cfg["scheme"], cfg["n"])
     radius = float(np.max(np.abs(lam)))
     doc = {
         "scheme": cfg["scheme"],
-        "n": int(cfg["n"]),
+        "n": cfg["n"],
         "integrator": cfg["integrator"],
         "max_eigenvalue_modulus": radius,
         "imag_axis_limit": spectral.IMAG_AXIS_LIMIT_TVDRK3,
@@ -265,8 +254,8 @@ def _cmd_stability(cfg) -> int:
 
 
 def _cmd_filter_analyze(cfg) -> int:
-    spec = filter_by_name(cfg["name"], float(cfg["alpha_f"]))
-    omega = np.linspace(0.0, np.pi, int(cfg["samples"]))
+    spec = filter_by_name(cfg["name"], cfg["alpha_f"])
+    omega = np.linspace(0.0, np.pi, cfg["samples"])
     transfer = spec.transfer(omega)
     rows = [[f"{w:.10g}", f"{t:.12e}"] for w, t in zip(omega, transfer)]
     _write_rows(cfg["out"], ["omega", "T"], rows)
@@ -274,9 +263,7 @@ def _cmd_filter_analyze(cfg) -> int:
 
 
 def _cmd_ls_optimize(cfg) -> int:
-    coeffs = spectral.ls_optimize(
-        family=cfg["family"], variant=cfg["variant"], r=float(cfg["r"])
-    )
+    coeffs = spectral.ls_optimize(cfg["family"], cfg["variant"], cfg["r"])
     _emit_coeffs(cfg, coeffs)
     return EXIT_OK
 
@@ -299,35 +286,24 @@ def parse_filter_flag(text: str) -> kdv.FilterConfig:
 
 
 def _family_from_cfg(cfg) -> str:
-    fam = str(cfg["scheme"]).upper()
+    fam = cfg["scheme"].upper()
     if fam not in ("TDCNCS", "TDCCS"):
         raise UsageError(
             f"unknown experiment scheme {cfg['scheme']!r}; valid: tdcncs, tdccs"
         )
-    if int(cfg["order"]) != 8:
+    if cfg["order"] != 8:
         raise UsageError("only --order 8 experiment schemes are available")
     return fam
 
 
 def _problem_params(cfg) -> dict:
-    params = {}
-    if cfg["c"] is not None:
-        params["c"] = cfg["c"]
-    if cfg["eps"] is not None:
-        params["eps"] = cfg["eps"]
-    if cfg["x0"] is not None:
-        params["x0"] = cfg["x0"]
-    return params
+    return {k: cfg[k] for k in ("c", "eps", "x0") if cfg[k] is not None}
 
 
-def _run_config(cfg, record_every=0) -> kdv.RunConfig:
+def _run_config(cfg) -> kdv.RunConfig:
     filt = parse_filter_flag(cfg["filter"]) if cfg["filter"] else None
-    return kdv.RunConfig(
-        dt_rule=cfg["dt_rule"], cfl=float(cfg["cfl"]),
-        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        filter=filt, record_every=record_every,
-        t_final=None if cfg["t_final"] is None else float(cfg["t_final"]),
-    )
+    return kdv.RunConfig(dt_rule=cfg["dt_rule"], cfl=cfg["cfl"], dt=cfg["dt"],
+                         filter=filt, t_final=cfg["t_final"])
 
 
 def _make_problem(cfg) -> kdv.KdvProblem:
@@ -343,7 +319,7 @@ def _cmd_run(cfg) -> int:
     family = _family_from_cfg(cfg)
     problem = _make_problem(cfg)
     config = _run_config(cfg)
-    disc = kdv.Discretization(family, int(cfg["n"]), problem.length, problem.x_lo)
+    disc = kdv.Discretization(family, cfg["n"], problem.length, problem.x_lo)
     result = kdv.integrate(problem, disc, config)
     if cfg["snapshot"]:
         kdv.snapshot_to_csv(cfg["snapshot"], result)
@@ -367,7 +343,7 @@ def _cmd_run(cfg) -> int:
 def _cmd_converge(cfg) -> int:
     family = _family_from_cfg(cfg)
     try:
-        ns = [int(s) for s in str(cfg["ns"]).split(",") if s.strip()]
+        ns = [int(s) for s in cfg["ns"].split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad --Ns value {cfg['ns']!r}") from None
     # built here only to reject bad presets and parameters before any worker
@@ -398,11 +374,10 @@ _HANDLERS = {
 def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, cfg = effective_config(parser, argv)
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        cfg = effective_config(args.command, args)
         if args.dump_config:
             dump_config(cfg, args.dump_config)
             return EXIT_OK

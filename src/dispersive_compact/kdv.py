@@ -8,6 +8,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -214,6 +215,15 @@ def make_problem(preset: str, **params) -> KdvProblem:
 # spatial discretization
 # ---------------------------------------------------------------------------
 
+def _whole(name: str, value, lo: int) -> int:
+    """``value`` as an int.  A bool, a float or any other non-integer is
+    refused, not rounded, and so is a value below ``lo``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
 _FAMILY_OPS = {
     # family -> (third-derivative scheme, first-derivative scheme)
     "TDCNCS": ("TDCNCS-T8", "CNCS-T8"),
@@ -230,15 +240,13 @@ class Discretization:
     def __init__(self, family: str, n: int, length: float, x_lo: float = 0.0):
         if family not in _FAMILY_OPS:
             raise KeyError(f"unknown family {family!r}; valid: TDCNCS, TDCCS")
-        if not n >= 1:
-            raise ValueError(f"N must be at least 1, got {n}")
         self.family = family
-        self.n = int(n)
-        self.h = length / n
+        self.n = _whole("N", n, 1)
+        self.h = length / self.n
         self.x_lo = float(x_lo)
         self.third_scheme, self.first_scheme = _FAMILY_OPS[family]
-        self.d3_op = CompactOperator(self.third_scheme, n, self.h)
-        self.d1_op = CompactOperator(self.first_scheme, n, self.h)
+        self.d3_op = CompactOperator(self.third_scheme, self.n, self.h)
+        self.d1_op = CompactOperator(self.first_scheme, self.n, self.h)
         if self.d3_op.grid_kind != self.d1_op.grid_kind:
             raise ValueError("first/third derivative grid kinds disagree")
         self.dual = self.d3_op.grid_kind == "dual"
@@ -294,8 +302,7 @@ class FilterConfig:
     every: int = 20
 
     def __post_init__(self):
-        if self.every < 1:
-            raise ValueError("filter cadence must be >= 1")
+        _whole("filter cadence", self.every, 1)
 
 
 @dataclass(frozen=True)
@@ -308,6 +315,7 @@ class RunConfig:
     t_final: float | None = None  # None: problem default
 
     def __post_init__(self):
+        _whole("record_every", self.record_every, 0)
         if not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):

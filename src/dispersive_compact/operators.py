@@ -164,18 +164,15 @@ DENSE_LIMIT = 384
 class CompactOperator:
     """A periodic circulant h^-d A^{-1} B lowered to double precision.
 
-    Built from a catalogued scheme id or a (template, coefficients) pair;
-    ``_init_circulant`` builds one from flat taps, (alpha, beta), derivative
-    order and grid kind, as ``FilterOperator`` does.  ``apply`` accepts a
-    GridFunction (node_only/center_only kinds) or a DualGridFunction (dual
-    kind) and returns the same container type.
+    Built from a catalogued scheme id; ``_init_circulant`` builds one from
+    flat taps, (alpha, beta), derivative order and grid kind, as
+    ``FilterOperator`` does.  ``apply`` accepts a GridFunction
+    (node_only/center_only kinds) or a DualGridFunction (dual kind) and
+    returns the same container type.
     """
 
-    def __init__(self, scheme_id_or_pair, n: int, h: float):
-        if isinstance(scheme_id_or_pair, str):
-            template, coeffs = exact.builtin_scheme(scheme_id_or_pair)
-        else:
-            template, coeffs = scheme_id_or_pair
+    def __init__(self, scheme_id: str, n: int, h: float):
+        template, coeffs = exact.builtin_scheme(scheme_id)
         template.validate()
         self.template = template
         self.coeffs = coeffs
@@ -241,7 +238,7 @@ class CompactOperator:
         if self.size <= DENSE_LIMIT:
             if self._dense is None:
                 self.dense_matrix()
-            return np.matmul(self._dense, values, out=out)
+            return np.dot(self._dense, values, out=out)
         if out is None:
             return self.apply_fft(values)
         out[...] = self.apply_fft(values)
@@ -268,8 +265,8 @@ class CompactOperator:
         return self._dense
 
 
-def build_operator(scheme_id_or_pair, n: int, h: float) -> CompactOperator:
-    return CompactOperator(scheme_id_or_pair, n, h)
+def build_operator(scheme_id: str, n: int, h: float) -> CompactOperator:
+    return CompactOperator(scheme_id, n, h)
 
 
 def interpolate_to_centers(ci_op: CompactOperator, f: GridFunction) -> GridFunction:

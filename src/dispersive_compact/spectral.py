@@ -238,7 +238,7 @@ class EfficiencyResult:
     eps_t: float
 
 
-def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
+def resolving_efficiency(scheme_id: str, eps_t: float,
                          mode: str = "band_edge") -> EfficiencyResult:
     """Shortest well-resolved wavenumber w_f with |psi-w^3|/w^3 <= eps_t.
 
@@ -270,6 +270,7 @@ def resolving_efficiency(scheme_id: str, eps_t: float, samples: int = 20000,
         return lo
 
     # midpoint grid: avoids w = pi exactly, where T4-type denominators vanish
+    samples = 20000
     omega = (np.arange(1, samples + 1) - 0.5) * np.pi / samples
     if mode == "strict":
         beyond = np.nonzero(err(omega) > eps_t)[0]
@@ -305,8 +306,12 @@ def _quadrature(r: float, points: int):
     return 0.5 * upper * (nodes + 1.0), 0.5 * upper * weights
 
 
-def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
-                quad_points: int = 400) -> exact.SchemeCoefficients:
+# Gauss-Legendre points of the LS integrals over [0, r*pi]
+_LS_QUAD_POINTS = 400
+
+
+def ls_optimize(family: str = "TDCCS", variant: str = "T8",
+                r: float = 1.0) -> exact.SchemeCoefficients:
     """Least-squares coefficients minimizing E = int (psi - w^3)^2 D^2 dw.
 
     The weighting D^2 cancels the denominator, so the integrand is a
@@ -318,7 +323,7 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
     """
     if not (0.0 < r <= 1.0):
         raise ValueError("r must be in (0, 1]")
-    key = (family, variant, r, quad_points)
+    key = (family, variant, r)
     if key in _ls_cache:
         return _ls_cache[key]
     template = exact.family_template(family)
@@ -335,7 +340,7 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
     conditions = exact.order_conditions(template, 2 * len(lhs_free))
     conditions = conditions[: len(lhs_free)]
 
-    omega, wq = _quadrature(r, quad_points)
+    omega, wq = _quadrature(r, _LS_QUAD_POINTS)
     d = template.derivative_order
     sign = -1.0 if d % 4 == 3 else 1.0
     # per-slot numerator basis: the group's taps at unit coefficient
@@ -378,7 +383,7 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8", r: float = 1.0,
 
 
 def ls_misfit(family: str, coeffs: exact.SchemeCoefficients, r: float = 1.0,
-              quad_points: int = 400) -> float:
+              quad_points: int = _LS_QUAD_POINTS) -> float:
     """E of Eq-form int_0^{r pi} (psi - w^3)^2 D^2 dw for given coefficients."""
     template = exact.family_template(family)
     omega, wq = _quadrature(r, quad_points)

@@ -261,6 +261,72 @@ def test_empty_config_is_all_defaults(tmp_path):
     assert doc["example"] == "linear" and doc["dt_rule"] == "cfl_h3"
 
 
+_EXPERIMENT_DEFAULTS = {
+    "example": "linear", "c": None, "eps": None, "x0": None,
+    "scheme": "TDCNCS", "order": 8, "dt_rule": "cfl_h3", "cfl": 0.01,
+    "dt": None, "filter": None, "t_final": None, "out": None,
+}
+GOLDEN_DEFAULTS = {
+    "coeffs": {"scheme": "TDCCS-T8", "format": "text", "out": None},
+    "spectrum": {"scheme": "TDCCS-T8", "samples": 400, "out": None},
+    "efficiency": {"schemes": "all", "eps": 1e-3, "mode": "band_edge",
+                   "out": None},
+    "stability": {"scheme": "TDCCS-T8", "n": 1024, "integrator": "TVDRK3",
+                  "out": None},
+    "filter-analyze": {"name": "F12", "alpha_f": 0.4, "samples": 400,
+                       "out": None},
+    "ls-optimize": {"family": "TDCCS", "variant": "T8", "r": 1.0,
+                    "format": "text", "out": None},
+    "run": {**_EXPERIMENT_DEFAULTS, "n": 100, "snapshot": None},
+    "converge": {**_EXPERIMENT_DEFAULTS, "ns": "10,20,30,40", "json": None,
+                 "serial": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DEFAULTS))
+def test_dump_config_writes_each_default(command, tmp_path):
+    dump = tmp_path / "d.json"
+    assert run_cli(command, "--dump-config", str(dump)) == EXIT_OK
+    # byte comparison: pins int against float as well as each value
+    want = json.dumps(GOLDEN_DEFAULTS[command], indent=2, sort_keys=True)
+    assert dump.read_text() == want + "\n"
+
+
+@pytest.mark.parametrize("command, doc", [
+    # refused as the same text given to the flag is
+    ("run", {"n": 40.5, "t_final": 1e-3}),
+    ("run", {"order": 8.9, "t_final": 1e-3}),
+    ("spectrum", {"samples": 12.7}),
+    ("coeffs", {"scheme": 5}),
+    ("run", {"filter": 3, "t_final": 1e-3}),
+    # choices and nulls, which argparse checks on no default
+    ("coeffs", {"format": "yaml"}),
+    ("stability", {"integrator": "RK4"}),
+    ("spectrum", {"samples": None}),
+    ("run", {"cfl": None, "t_final": 1e-3}),
+    ("converge", {"serial": "no", "ns": "8", "t_final": 1e-3}),
+])
+def test_bad_config_value_is_one_line_usage_error(command, doc, tmp_path,
+                                                  capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(cfg)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_config_text_value_is_converted_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "40", "cfl": "0.02"}))
+    dump = tmp_path / "d.json"
+    assert run_cli("run", "--config", str(cfg), "--dump-config",
+                   str(dump)) == EXIT_OK
+    doc = json.loads(dump.read_text())
+    assert doc["n"] == 40 and type(doc["n"]) is int
+    assert doc["cfl"] == 0.02
+
+
 def test_filter_flag_parsing():
     fc = parse_filter_flag("F12:0.4:20")
     assert (fc.name, fc.alpha_f, fc.every) == ("F12", 0.4, 20)

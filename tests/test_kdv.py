@@ -261,6 +261,25 @@ def test_unknown_family():
         kdv.Discretization("TDXXX", 20, 1.0)
 
 
+@pytest.mark.parametrize("n", [100.5, 100.0, True])
+def test_discretization_refuses_non_integer_n(n):
+    # N = 100.5 used to give n = 100 nodes at h = L/100.5
+    with pytest.raises(ValueError, match="N must be an integer"):
+        kdv.Discretization("TDCNCS", n, 2 * np.pi)
+
+
+@pytest.mark.parametrize("record_every", [-1, 2.5])
+def test_run_config_refuses_bad_record_every(record_every):
+    # record_every=-1 used to record every step
+    with pytest.raises(ValueError, match="record_every"):
+        kdv.RunConfig(record_every=record_every)
+
+
+def test_filter_config_refuses_non_integer_cadence():
+    with pytest.raises(ValueError, match="cadence"):
+        kdv.FilterConfig("F12", 0.4, 2.5)
+
+
 def _oracle_state(problem, disc, config):
     """Final fine-grid state of a plain-numpy TVD-RK3 loop, written out in
     the operation order of ``TvdRk3`` with allocating arithmetic."""
