@@ -239,8 +239,7 @@ def _cmd_efficiency(cfg) -> int:
 
 
 def _cmd_stability(cfg) -> int:
-    lam = spectral.circulant_eigenvalues(cfg["scheme"], cfg["n"])
-    radius = float(np.max(np.abs(lam)))
+    radius = spectral.spectral_radius(cfg["scheme"], cfg["n"])
     doc = {
         "scheme": cfg["scheme"],
         "n": cfg["n"],
@@ -254,6 +253,8 @@ def _cmd_stability(cfg) -> int:
 
 
 def _cmd_filter_analyze(cfg) -> int:
+    if cfg["samples"] < 2:
+        raise UsageError(f"--samples must be >= 2, got {cfg['samples']}")
     spec = filter_by_name(cfg["name"], cfg["alpha_f"])
     omega = np.linspace(0.0, np.pi, cfg["samples"])
     transfer = spec.transfer(omega)

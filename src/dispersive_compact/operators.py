@@ -1,6 +1,7 @@
 """Application of compact derivative, interpolation and filter operators.
 
-All data is periodic.  Node-only operators act on length-N arrays; dual
+All data is periodic, and every operator is a circulant whose symbol comes
+from ``spectral``.  Node-only operators act on length-N arrays; dual
 operators act on the interleaved fine grid of 2N points (nodes at even fine
 indices, cell centers at odd fine indices) so that the half-shifted center
 update is the same stencil applied one fine point over.
@@ -8,13 +9,15 @@ update is the same stencil applied one fine point over.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import exact
-from .banded import CyclicBandedSolver, SingularOperatorError
+from .banded import CyclicBandedSolver
+from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 
 @dataclass(frozen=True)
@@ -71,86 +74,6 @@ class DualGridFunction:
         return self.domain_start + 0.5 * self.h * np.arange(2 * self.n)
 
 
-def grid_taps(taps, grid_kind: str, derivative_order: int):
-    """(index shift, weight) of each (h/2 offset, weight) tap on the grid the
-    operator acts on: row i of its B reads value i + shift.
-
-    Dual operators act on the interleaved fine grid, so the shift is the
-    offset.  Node- and center-only operators act on N values; a tap at an odd
-    offset reads the opposite-parity sequence, which occupies the same index
-    range, so its offset rounds toward the output parity: up for an
-    interpolation to centers, down for a derivative at nodes.
-    """
-    if grid_kind == "dual":
-        return list(taps)
-    if grid_kind not in ("node_only", "center_only"):
-        raise ValueError(f"unknown grid kind {grid_kind!r}")
-    out = []
-    for off, w in taps:
-        if off % 2 == 0:
-            shift = off // 2
-        elif derivative_order == 0:
-            shift = (off + 1) // 2
-        else:
-            shift = (off - 1) // 2
-        out.append((shift, w))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# continuous symbol B(w)/A(w)
-# ---------------------------------------------------------------------------
-
-# a backend is (cos, sin, Fraction -> number); mpmath's is built on first use
-_NUMPY = (np.cos, np.sin, float)
-
-
-def lhs_symbol(alpha, beta, omega, cos=np.cos):
-    """Symbol A(w) = 1 + 2*alpha*cos(w) + 2*beta*cos(2w) of the implicit band."""
-    return 1.0 + 2.0 * alpha * cos(omega) + 2.0 * beta * cos(2.0 * omega)
-
-
-def tap_sum(taps, omega, odd: bool, backend=_NUMPY):
-    """Symbol B(w) of (h/2 offset, weight) taps, up to the factor i of odd taps.
-
-    Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
-    (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
-    are read.
-    """
-    cos, sin, num = backend
-    trig = sin if odd else cos
-    out = 0
-    for m, w in taps:
-        if m > 0:
-            out = out + 2 * num(w) * trig(m * omega / 2)
-        elif m == 0 and not odd:
-            out = out + num(w)
-    return out
-
-
-def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
-                     size: int) -> np.ndarray:
-    """DFT symbol of h^d A^{-1} B on a periodic grid of ``size`` points.
-
-    Column convention: h^d D v = ifft(sigma * fft(v)).  Because row i of B
-    reads v[i + shift], mode k of B v is v_k times sum w e^{+2 pi i shift k/size},
-    the conjugate of the DFT of B's first row.  The LHS band acts within one
-    parity, so its offsets step by 2 on the fine grid of a dual operator.
-    """
-    row = np.zeros(size)
-    for shift, w in grid_taps(taps, grid_kind, derivative_order):
-        row[shift % size] += float(w)
-    step = 2 if grid_kind == "dual" else 1
-    den = lhs_symbol(float(alpha), float(beta),
-                     2.0 * np.pi * step * np.arange(size) / size)
-    if np.min(np.abs(den)) < 1e-12:
-        raise SingularOperatorError(
-            f"implicit circulant (alpha={float(alpha):.6g}, "
-            f"beta={float(beta):.6g}) is singular on {size} points"
-        )
-    return np.conj(np.fft.fft(row)) / den
-
-
 # Circulant sizes up to DENSE_LIMIT apply a cached dense matrix; larger ones
 # apply the operator's symbol by real FFT.  Measured on a 2-vCPU x86-64 VM
 # with one BLAS thread, dense matvec vs FFT apply: 8.8 vs 14.2 us at 240,
@@ -174,9 +97,6 @@ class CompactOperator:
     def __init__(self, scheme_id: str, n: int, h: float):
         template, coeffs = exact.builtin_scheme(scheme_id)
         template.validate()
-        self.template = template
-        self.coeffs = coeffs
-        self.scheme_id = coeffs.family
         if n < template.max_offset:
             raise ValueError(
                 f"N={n} too small for stencil half-width {template.max_offset} (h/2 units)"
@@ -187,7 +107,6 @@ class CompactOperator:
 
     def _init_circulant(self, taps, alpha, beta, derivative_order: int,
                         grid_kind: str, n: int, h: float) -> None:
-        self.taps = taps
         self.derivative_order = derivative_order
         self.grid_kind = grid_kind
         self.n = int(n)
@@ -293,17 +212,20 @@ class FilterSpec:
     def half_width(self) -> int:
         return len(self.a_coeffs) - 1
 
-    @property
-    def taps(self) -> tuple:
-        """Symmetric (h/2 offset, weight) taps: a_0 at 0 and a_n/2 at +-2n, so
-        that they sum to a_0 + sum a_n cos(n w)."""
-        half = [(2 * n, a / 2) for n, a in enumerate(self.a_coeffs) if n]
-        return tuple(sorted([(0, self.a_coeffs[0]), *half,
-                             *((-off, w) for off, w in half)]))
+    @functools.cached_property
+    def symbol(self) -> SchemeSymbol:
+        """Exact symbol of symmetric (h/2 offset, weight) taps a_0 at 0 and
+        a_n/2 at +-2n, which sum to a_0 + sum a_n cos(n w).  Its band is
+        alpha_f as derived: T(0) = 1 gives sum a_n = 1 + 2 alpha_f."""
+        a = self.a_exact
+        half = [(2 * n, a_n / 2) for n, a_n in enumerate(a) if n]
+        taps = tuple(sorted([(0, a[0]), *half, *((-off, w) for off, w in half)]))
+        return SchemeSymbol(scheme_id=f"F{self.order}", derivative_order=0,
+                            grid_kind="node_only", taps=taps,
+                            alpha=(sum(a) - 1) / 2, beta=Fraction(0))
 
     def transfer(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        return tap_sum(self.taps, omega, odd=False) / lhs_symbol(self.alpha_f, 0.0, omega)
+        return self.symbol.transfer_function(omega)
 
 
 def derive_filter(n_half_width: int, alpha_f: float) -> FilterSpec:
@@ -353,6 +275,6 @@ class FilterOperator(CompactOperator):
     def __init__(self, spec: FilterSpec, n: int, grid_kind: str = "node_only"):
         if n < 2 * spec.half_width + 1:
             raise ValueError(f"N={n} too small for filter width {spec.half_width}")
-        self.spec = spec
+        taps = [(off, float(w)) for off, w in spec.symbol.taps]
         # the scale h^0 is 1 for any h
-        self._init_circulant(spec.taps, spec.alpha_f, 0.0, 0, grid_kind, n, 1.0)
+        self._init_circulant(taps, spec.alpha_f, 0.0, 0, grid_kind, n, 1.0)

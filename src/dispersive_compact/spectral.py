@@ -1,8 +1,9 @@
 """Fourier analysis of the compact schemes.
 
-Modified wavenumbers, interpolation/filter transfer functions, bandwidth
-resolving efficiency, least-squares coefficient optimization, circulant
-eigenvalues and CFL bounds.
+Every symbol is evaluated here: the grid (DFT) symbol of a periodic circulant
+that operators apply, modified wavenumbers, interpolation/filter transfer
+functions, bandwidth resolving efficiency, least-squares coefficient
+optimization, circulant eigenvalues and CFL bounds.
 
 Conventions: for a derivative operator of odd order d acting on e^{ikx} the
 per-mode factor is (i)^d psi(w) / h^d with w = kh, so a third derivative gives
@@ -24,13 +25,89 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from . import exact
-from .banded import SingularOperatorError
-from .operators import circulant_symbol, lhs_symbol, tap_sum
+from .banded import SingularOperatorError, check_invertible
+
+
+# ---------------------------------------------------------------------------
+# taps on the grid, and the direct sums of a symbol B(w)/A(w)
+# ---------------------------------------------------------------------------
+
+def grid_taps(taps, grid_kind: str, derivative_order: int):
+    """(index shift, weight) of each (h/2 offset, weight) tap on the grid the
+    operator acts on: row i of its B reads value i + shift.
+
+    Dual operators act on the interleaved fine grid, so the shift is the
+    offset.  Node- and center-only operators act on N values; a tap at an odd
+    offset reads the opposite-parity sequence, which occupies the same index
+    range, so its offset rounds toward the output parity: up for an
+    interpolation to centers, down for a derivative at nodes.
+    """
+    if grid_kind == "dual":
+        return list(taps)
+    if grid_kind not in ("node_only", "center_only"):
+        raise ValueError(f"unknown grid kind {grid_kind!r}")
+    out = []
+    for off, w in taps:
+        if off % 2 == 0:
+            shift = off // 2
+        elif derivative_order == 0:
+            shift = (off + 1) // 2
+        else:
+            shift = (off - 1) // 2
+        out.append((shift, w))
+    return out
+
+
+# a backend is (cos, sin, Fraction -> number); mpmath's is built on first use
+_NUMPY = (np.cos, np.sin, float)
+
+
+def lhs_symbol(alpha, beta, omega, cos=np.cos):
+    """Symbol A(w) = 1 + 2*alpha*cos(w) + 2*beta*cos(2w) of the implicit band."""
+    return 1.0 + 2.0 * alpha * cos(omega) + 2.0 * beta * cos(2.0 * omega)
+
+
+def tap_sum(taps, omega, odd: bool, backend=_NUMPY):
+    """Symbol B(w) of (h/2 offset, weight) taps, up to the factor i of odd taps.
+
+    Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
+    (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
+    are read.
+    """
+    cos, sin, num = backend
+    trig = sin if odd else cos
+    out = 0
+    for m, w in taps:
+        if m > 0:
+            out = out + 2 * num(w) * trig(m * omega / 2)
+        elif m == 0 and not odd:
+            out = out + num(w)
+    return out
+
+
+def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
+                     size: int) -> np.ndarray:
+    """DFT symbol of h^d A^{-1} B on a periodic grid of ``size`` points.
+
+    Column convention: h^d D v = ifft(sigma * fft(v)).  Because row i of B
+    reads v[i + shift], mode k of B v is v_k times sum w e^{+2 pi i shift k/size},
+    the conjugate of the DFT of B's first row.  The LHS band acts within one
+    parity, so its offsets step by 2 on the fine grid of a dual operator.
+    """
+    # as every operator does, refuse a band that vanishes between grid modes
+    check_invertible(float(alpha), float(beta))
+    row = np.zeros(size)
+    for shift, w in grid_taps(taps, grid_kind, derivative_order):
+        row[shift % size] += float(w)
+    step = 2 if grid_kind == "dual" else 1
+    den = lhs_symbol(float(alpha), float(beta),
+                     2.0 * np.pi * step * np.arange(size) / size)
+    return np.conj(np.fft.fft(row)) / den
 
 
 @dataclass(frozen=True)
 class SchemeSymbol:
-    """Evaluable Fourier symbol of one scheme (optionally CI-composed)."""
+    """Fourier symbol of a scheme (optionally CI-composed) or of a filter."""
 
     scheme_id: str
     derivative_order: int
@@ -38,7 +115,6 @@ class SchemeSymbol:
     taps: tuple[tuple[int, Fraction], ...]
     alpha: Fraction
     beta: Fraction
-    formal_order: int
     transfer: "SchemeSymbol | None" = None  # interpolation factor (CI variants)
 
     @functools.cached_property
@@ -87,7 +163,7 @@ class SchemeSymbol:
         return self._float(np.asarray(omega, dtype=float))
 
     def transfer_function(self, omega):
-        """Real per-mode amplitude T(w) of an interpolation (d = 0) scheme."""
+        """Real per-mode amplitude T(w) of an interpolation or filter (d = 0)."""
         if self.derivative_order != 0:
             raise ValueError("transfer function requires derivative order 0")
         return self._float(np.asarray(omega, dtype=float))
@@ -138,15 +214,13 @@ def _divide_out(poly, root):
 
 
 def _symbol_from_parts(scheme_id, template, coeffs, transfer=None) -> SchemeSymbol:
-    taps = template.flat_taps(coeffs)
     return SchemeSymbol(
         scheme_id=scheme_id,
         derivative_order=template.derivative_order,
         grid_kind=template.grid_kind,
-        taps=taps,
+        taps=template.flat_taps(coeffs),
         alpha=coeffs.alpha,
         beta=coeffs.beta,
-        formal_order=coeffs.formal_order,
         transfer=transfer,
     )
 
@@ -421,6 +495,15 @@ def circulant_eigenvalues(scheme_id: str, n: int) -> np.ndarray:
     return np.conj(sigma)
 
 
+def spectral_radius(scheme_id: str, n: int) -> float:
+    """max |eigenvalue| of h^d A^{-1} B for an odd-order derivative, the only
+    kind of scheme a time integrator steps."""
+    if scheme_symbol(scheme_id).derivative_order % 2 == 0:
+        raise ValueError(f"{scheme_id} has no time step: stability is "
+                         f"defined for odd derivative orders")
+    return float(np.max(np.abs(circulant_eigenvalues(scheme_id, n))))
+
+
 IMAG_AXIS_LIMIT_TVDRK3 = 1.732
 
 
@@ -429,8 +512,7 @@ def max_stable_timestep(scheme_id: str, integrator: str = "TVDRK3",
     """Bound on dt/dx^d from the integrator's imaginary-axis extent."""
     if integrator != "TVDRK3":
         raise ValueError(f"unknown integrator {integrator!r}")
-    lam = circulant_eigenvalues(scheme_id, n)
-    return IMAG_AXIS_LIMIT_TVDRK3 / float(np.max(np.abs(lam)))
+    return IMAG_AXIS_LIMIT_TVDRK3 / spectral_radius(scheme_id, n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +528,8 @@ def write_spectrum_csv(path, scheme_id: str, samples: int = 400) -> None:
     w = pi is left out: T4-type denominators vanish there.  ``path`` may also
     be an open text file, which is written to and left open.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     omega = np.linspace(0.0, np.pi, samples, endpoint=False)[1:]
     psi = modified_wavenumber(scheme_id, omega)
     rel = psi / omega ** scheme_symbol(scheme_id).derivative_order

@@ -1,11 +1,14 @@
 """Fourier symbols, resolving efficiency, LS optimization, eigenvalues."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from dispersive_compact import exact, spectral
 from dispersive_compact.banded import SingularOperatorError
+from dispersive_compact.operators import filter_by_name
 
 
 def test_symbol_matches_operator_on_fourier_modes():
@@ -103,10 +106,30 @@ def test_max_stable_timestep_is_cfl_bound():
         spectral.max_stable_timestep("TDCNCS-T8", integrator="RK4")
 
 
-def test_singular_scheme_rejected_in_eigenvalues():
-    # TDCNCS-T4 has alpha = 1/2: its LHS symbol vanishes at the Nyquist mode
+@pytest.mark.parametrize("n", [64, 101])
+def test_singular_scheme_rejected_in_eigenvalues(n):
+    # TDCNCS-T4 has alpha = 1/2: its LHS symbol vanishes at w = pi, which is a
+    # grid mode for even n only; the scheme is refused at every n
     with pytest.raises(SingularOperatorError):
-        spectral.circulant_eigenvalues("TDCNCS-T4", 64)
+        spectral.circulant_eigenvalues("TDCNCS-T4", n)
+
+
+@pytest.mark.parametrize("scheme_id", ["TDCCS-LS-2-T8", "TDCCS-LS-3-T8"])
+def test_band_vanishing_between_grid_modes_rejected(scheme_id):
+    # least squares gives these alpha > 1/2, so 1 + 2 alpha cos(w) vanishes
+    # inside (0, pi) without vanishing on a grid mode
+    assert spectral.scheme_symbol(scheme_id).alpha > Fraction(1, 2)
+    with pytest.raises(SingularOperatorError):
+        spectral.circulant_eigenvalues(scheme_id, 100)
+
+
+def test_stability_refuses_even_derivative_orders():
+    # an interpolation has eigenvalues but no time step
+    assert spectral.circulant_eigenvalues("CI-T8", 64).shape == (64,)
+    with pytest.raises(ValueError, match="odd derivative orders"):
+        spectral.max_stable_timestep("CI-T8")
+    with pytest.raises(ValueError, match="odd derivative orders"):
+        spectral.spectral_radius("CI-T8", 64)
 
 
 def test_unknown_scheme_id():
@@ -126,6 +149,14 @@ def test_spectrum_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == spectral.SPECTRUM_HEADER
     assert len(lines) > 40
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_spectrum_csv_refuses_fewer_than_two_samples(samples, tmp_path):
+    path = tmp_path / "spec.csv"
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        spectral.write_spectrum_csv(path, "TDCNCS-T8", samples=samples)
+    assert not path.exists()
 
 
 def test_float_psi_matches_mpmath_oracle():
@@ -157,6 +188,26 @@ def test_float_transfer_matches_mpmath_oracle():
             den = 1 + 2 * q(sym.alpha) * mp.cos(wm) + 2 * q(sym.beta) * mp.cos(2 * wm)
             ref = num / den
             assert abs(float(t) - ref) <= 1e-12 * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("name", ["F8", "F10", "F12"])
+@pytest.mark.parametrize("alpha_f", [0.0, 0.2, -0.2, 0.4, -0.4])
+def test_filter_transfer_keeps_relative_precision_to_pi(name, alpha_f):
+    # relative, not absolute: T has a double zero at w = pi, where its direct
+    # sum cancels; the reference is summed in 50 digits from the exact taps
+    spec = filter_by_name(name, alpha_f)
+    omega = np.concatenate([np.linspace(0.0, np.pi, 400),
+                            np.pi - np.geomspace(1e-1, 1e-8, 20)])
+    alpha = Fraction(str(alpha_f))
+    with mp.workdps(50):
+        def q(x):
+            return mp.mpf(x.numerator) / x.denominator
+
+        for w, t in zip(omega, spec.transfer(omega)):
+            wm = mp.mpf(w)
+            num = sum(q(a) * mp.cos(n * wm) for n, a in enumerate(spec.a_exact))
+            ref = num / (1 + 2 * q(alpha) * mp.cos(wm))
+            assert abs(t - ref) <= 1e-12 * abs(ref), (w, t, ref)
 
 
 def test_float_psi_keeps_relative_precision_near_zeros():
