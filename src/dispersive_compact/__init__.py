@@ -22,7 +22,9 @@ from .exact import (
 from .kdv import (
     ConvergenceReport,
     Discretization,
+    DualGridFunction,
     FilterConfig,
+    GridFunction,
     KdvProblem,
     RunConfig,
     convergence_study,
@@ -32,10 +34,8 @@ from .kdv import (
 )
 from .operators import (
     CompactOperator,
-    DualGridFunction,
     FilterOperator,
     FilterSpec,
-    GridFunction,
     build_operator,
     derive_filter,
     filter_by_name,

@@ -67,7 +67,6 @@ def build_parser() -> _Parser:
     p = cmd("stability", "spectral radius and CFL bound")
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--integrator", choices=["TVDRK3"], default="TVDRK3")
     p.add_argument("--out")
 
     p = cmd("filter-analyze", "filter transfer function as CSV")
@@ -91,11 +90,10 @@ def build_parser() -> _Parser:
         p.add_argument("--x0", type=float)
         p.add_argument("--scheme", default="TDCNCS",
                        help="family: tdcncs or tdccs")
-        p.add_argument("--order", type=int, default=8)
         p.add_argument("--dt-rule", dest="dt_rule", default="cfl_h3",
                        choices=["cfl_h3", "half_h2", "h2", "fixed"])
         p.add_argument("--cfl", type=float, default=0.01)
-        p.add_argument("--dt", type=float)
+        p.add_argument("--dt", type=float, help="with --dt-rule fixed only")
         p.add_argument("--filter", help="NAME:ALPHA_F:EVERY, e.g. F12:0.4:20")
         p.add_argument("--t-final", dest="t_final", type=float)
 
@@ -243,7 +241,7 @@ def _cmd_stability(cfg) -> int:
     doc = {
         "scheme": cfg["scheme"],
         "n": cfg["n"],
-        "integrator": cfg["integrator"],
+        "integrator": "TVDRK3",
         "max_eigenvalue_modulus": radius,
         "imag_axis_limit": spectral.IMAG_AXIS_LIMIT_TVDRK3,
         "cfl_bound": spectral.IMAG_AXIS_LIMIT_TVDRK3 / radius,
@@ -292,8 +290,6 @@ def _family_from_cfg(cfg) -> str:
         raise UsageError(
             f"unknown experiment scheme {cfg['scheme']!r}; valid: tdcncs, tdccs"
         )
-    if cfg["order"] != 8:
-        raise UsageError("only --order 8 experiment schemes are available")
     return fam
 
 

@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exact, spectral
-from .operators import (
-    CompactOperator,
-    DualGridFunction,
-    FilterOperator,
-    GridFunction,
-    filter_by_name,
-)
+from . import spectral
+from .operators import CompactOperator, FilterOperator, filter_by_name
 from .timeint import DivergenceError, TvdRk3
 
 THREADS_ENV = "DISPERSIVE_COMPACT_THREADS"
@@ -224,6 +218,46 @@ def _whole(name: str, value, lo: int) -> int:
     return int(value)
 
 
+@dataclass(frozen=True)
+class GridFunction:
+    """A node-only run's state: periodic samples on N nodes with spacing h."""
+
+    values: np.ndarray
+    h: float
+    domain_start: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    def nodes(self) -> np.ndarray:
+        return self.domain_start + self.h * np.arange(self.n)
+
+
+@dataclass(frozen=True)
+class DualGridFunction:
+    """A dual run's state: co-evolved node and center samples (centers at
+    x_j + h/2), the even and odd points of the interleaved fine array."""
+
+    node_values: np.ndarray
+    center_values: np.ndarray
+    h: float
+    domain_start: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return len(self.node_values)
+
+    def fine(self) -> np.ndarray:
+        out = np.empty(2 * self.n)
+        out[0::2] = self.node_values
+        out[1::2] = self.center_values
+        return out
+
+    def fine_points(self) -> np.ndarray:
+        return self.domain_start + 0.5 * self.h * np.arange(2 * self.n)
+
+
 _FAMILY_OPS = {
     # family -> (third-derivative scheme, first-derivative scheme)
     "TDCNCS": ("TDCNCS-T8", "CNCS-T8"),
@@ -270,9 +304,10 @@ class Discretization:
             return problem.initial(self.fine_points())
         return problem.initial(self.nodes())
 
-    def wrap(self, values: np.ndarray):
+    def wrap(self, values: np.ndarray) -> GridFunction | DualGridFunction:
+        """The run-result view of a state array."""
         if self.dual:
-            return DualGridFunction.from_fine(values, self.h, self.x_lo)
+            return DualGridFunction(values[0::2], values[1::2], self.h, self.x_lo)
         return GridFunction(values, self.h, self.x_lo)
 
     def node_values(self, values: np.ndarray) -> np.ndarray:
@@ -309,7 +344,7 @@ class FilterConfig:
 class RunConfig:
     dt_rule: str = "cfl_h3"  # cfl_h3 | half_h2 | h2 | fixed
     cfl: float = 0.01
-    dt: float | None = None  # for dt_rule == "fixed"
+    dt: float | None = None  # given with dt_rule == "fixed" and only with it
     filter: FilterConfig | None = None
     record_every: int = 0  # 0: no history
     t_final: float | None = None  # None: problem default
@@ -320,6 +355,9 @@ class RunConfig:
             raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if (self.dt is not None) != (self.dt_rule == "fixed"):
+            raise ValueError(f"a dt goes with dt_rule 'fixed' and only with it; "
+                             f"got dt_rule {self.dt_rule!r} and dt {self.dt}")
         if self.t_final is not None and not (
                 math.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError(
@@ -333,8 +371,6 @@ class RunConfig:
         if self.dt_rule == "h2":
             return h * h
         if self.dt_rule == "fixed":
-            if self.dt is None or self.dt <= 0:
-                raise ValueError("dt_rule 'fixed' needs a positive dt")
             return self.dt
         raise ValueError(f"unknown dt rule {self.dt_rule!r}")
 
@@ -343,7 +379,7 @@ class RunConfig:
 class RunResult:
     problem: KdvProblem
     disc: Discretization
-    state: object  # GridFunction or DualGridFunction
+    state: GridFunction | DualGridFunction
     t_final: float
     n_steps: int
     dt: float
@@ -451,32 +487,22 @@ def integrate(problem: KdvProblem, disc: Discretization,
 def _norms_vs_exact(problem, disc, values, t):
     if problem.exact is None:
         return None
-    exact_vals = problem.exact(disc.nodes(), t)
-    return error_norms(
-        GridFunction(disc.node_values(values), disc.h, disc.x_lo),
-        GridFunction(exact_vals, disc.h, disc.x_lo),
-    )
+    return error_norms(disc.node_values(values),
+                       problem.exact(disc.nodes(), t))
 
 
-def error_norms(numeric: GridFunction, exact_samples: GridFunction):
-    """(Linf, L1, L2) with the wrapped-endpoint 1/(N+1) averaging."""
-    if numeric.n != exact_samples.n:
+def error_norms(numeric: np.ndarray, exact: np.ndarray):
+    """(Linf, L1, L2) of two node arrays with the wrapped-endpoint 1/(N+1)
+    averaging."""
+    if len(numeric) != len(exact):
         raise ValueError("length mismatch")
-    diff = np.abs(numeric.values - exact_samples.values)
+    diff = np.abs(numeric - exact)
     # periodic tables count both x_0 and x_N = x_0 + L
     diff = np.concatenate([diff, diff[:1]])
     linf = float(np.max(diff))
     l1 = float(np.mean(diff))
     l2 = float(np.sqrt(np.mean(diff * diff)))
     return (linf, l1, l2)
-
-
-def conserved_mass(state):
-    """h * sum of values; dual states report node and center masses."""
-    if isinstance(state, DualGridFunction):
-        return (state.h * float(np.sum(state.node_values)),
-                state.h * float(np.sum(state.center_values)))
-    return state.h * float(np.sum(state.values))
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +609,7 @@ SNAPSHOT_HEADER = ["x", "u_numeric", "u_exact", "abs_error"]
 def snapshot_to_csv(path, result: RunResult) -> None:
     disc, problem = result.disc, result.problem
     x = disc.nodes()
-    u = disc.node_values(
-        result.state.fine() if isinstance(result.state, DualGridFunction)
-        else result.state.values
-    )
+    u = result.state.node_values if disc.dual else result.state.values
     ue = problem.exact(x, result.t_final) if problem.exact is not None else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -20,60 +20,6 @@ from .banded import CyclicBandedSolver
 from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Periodic samples on N nodes with spacing h."""
-
-    values: np.ndarray
-    h: float
-    domain_start: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def nodes(self) -> np.ndarray:
-        return self.domain_start + self.h * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class DualGridFunction:
-    """Co-evolved node and center samples (centers at x_j + h/2)."""
-
-    node_values: np.ndarray
-    center_values: np.ndarray
-    h: float
-    domain_start: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_values", np.asarray(self.node_values, dtype=float))
-        object.__setattr__(self, "center_values", np.asarray(self.center_values, dtype=float))
-        if len(self.node_values) != len(self.center_values):
-            raise ValueError("node/center length mismatch")
-
-    @property
-    def n(self) -> int:
-        return len(self.node_values)
-
-    def fine(self) -> np.ndarray:
-        out = np.empty(2 * self.n)
-        out[0::2] = self.node_values
-        out[1::2] = self.center_values
-        return out
-
-    @classmethod
-    def from_fine(cls, fine: np.ndarray, h: float, domain_start: float = 0.0):
-        return cls(fine[0::2], fine[1::2], h, domain_start)
-
-    def fine_points(self) -> np.ndarray:
-        return self.domain_start + 0.5 * self.h * np.arange(2 * self.n)
-
-
 # Circulant sizes up to DENSE_LIMIT apply a cached dense matrix; larger ones
 # apply the operator's symbol by real FFT.  Measured on a 2-vCPU x86-64 VM
 # with one BLAS thread, dense matvec vs FFT apply: 8.8 vs 14.2 us at 240,
@@ -89,9 +35,9 @@ class CompactOperator:
 
     Built from a catalogued scheme id; ``_init_circulant`` builds one from
     flat taps, (alpha, beta), derivative order and grid kind, as
-    ``FilterOperator`` does.  ``apply`` accepts a GridFunction
-    (node_only/center_only kinds) or a DualGridFunction (dual kind) and
-    returns the same container type.
+    ``FilterOperator`` does.  Every apply takes and returns a plain array of
+    ``size`` values: N for node_only/center_only kinds, the 2N-point fine
+    array for the dual kind.
     """
 
     def __init__(self, scheme_id: str, n: int, h: float):
@@ -121,8 +67,6 @@ class CompactOperator:
         )
         self._half_symbol = self.symbol[: self.size // 2 + 1]
         self._dense: np.ndarray | None = None
-
-    # -- raw array paths ----------------------------------------------------
 
     def _rhs(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros(len(values))
@@ -163,18 +107,6 @@ class CompactOperator:
         out[...] = self.apply_fft(values)
         return out
 
-    # -- typed wrappers -----------------------------------------------------
-
-    def apply(self, f):
-        if self.grid_kind == "dual":
-            if not isinstance(f, DualGridFunction):
-                raise TypeError("dual operator needs a DualGridFunction")
-            out = self.apply_array(f.fine())
-            return DualGridFunction.from_fine(out, f.h, f.domain_start)
-        if not isinstance(f, GridFunction):
-            raise TypeError("node operator needs a GridFunction")
-        return GridFunction(self.apply_array(f.values), f.h, f.domain_start)
-
     def dense_matrix(self) -> np.ndarray:
         """The full circulant A^{-1} B action, built column by column and cached."""
         if self._dense is None:
@@ -186,13 +118,6 @@ class CompactOperator:
 
 def build_operator(scheme_id: str, n: int, h: float) -> CompactOperator:
     return CompactOperator(scheme_id, n, h)
-
-
-def interpolate_to_centers(ci_op: CompactOperator, f: GridFunction) -> GridFunction:
-    """Midpoint values from node values via a catalogued CI scheme."""
-    if ci_op.derivative_order != 0:
-        raise ValueError("operator is not an interpolation")
-    return ci_op.apply(f)
 
 
 # ---------------------------------------------------------------------------

@@ -507,11 +507,8 @@ def spectral_radius(scheme_id: str, n: int) -> float:
 IMAG_AXIS_LIMIT_TVDRK3 = 1.732
 
 
-def max_stable_timestep(scheme_id: str, integrator: str = "TVDRK3",
-                        n: int = 1024) -> float:
-    """Bound on dt/dx^d from the integrator's imaginary-axis extent."""
-    if integrator != "TVDRK3":
-        raise ValueError(f"unknown integrator {integrator!r}")
+def max_stable_timestep(scheme_id: str, n: int = 1024) -> float:
+    """Bound on dt/dx^d from TVD-RK3's imaginary-axis extent."""
     return IMAG_AXIS_LIMIT_TVDRK3 / spectral_radius(scheme_id, n)
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import DualGridFunction, GridFunction
-
 
 class DivergenceError(FloatingPointError):
     """Non-finite values appeared during time stepping."""
@@ -67,41 +65,19 @@ class TvdRk3:
             )
 
 
-def _values(state):
-    if isinstance(state, GridFunction):
-        return (state.values,)
-    if isinstance(state, DualGridFunction):
-        return (state.node_values, state.center_values)
-    return (np.asarray(state),)
-
-
-def _rebuild(state, flat):
-    if isinstance(state, GridFunction):
-        return GridFunction(flat, state.h, state.domain_start)
-    if isinstance(state, DualGridFunction):
-        n = state.n
-        return DualGridFunction(flat[:n], flat[n:], state.h, state.domain_start)
-    return flat
-
-
-def tvdrk3_step(state, rhs_fn, dt, step_index=None, time=None):
-    """One TVD-RK3 step of an array, GridFunction or DualGridFunction (node
-    then center values, flattened), by ``TvdRk3``; ``state`` is not modified."""
+def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
+    """One TVD-RK3 step of an array of any dtype by ``TvdRk3``, with the rate
+    ``rhs_fn(v)``; returns a new array and leaves ``u`` unmodified."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    parts = _values(state)
-    u = np.concatenate(parts) if len(parts) > 1 else np.array(
-        parts[0], dtype=np.result_type(parts[0], float))
+    u = np.asarray(u)
+    u = np.array(u, dtype=np.result_type(u, float))
 
     def rhs(v, out):
-        rate = _values(rhs_fn(_rebuild(state, v)))
-        if len(rate) > 1:
-            out[:state.n], out[state.n:] = rate
-        else:
-            out[...] = rate[0]
+        out[...] = rhs_fn(v)
 
     TvdRk3(u.shape, u.dtype).step(u, rhs, dt, step_index, time)
-    return _rebuild(state, u)
+    return u
 
 
 def rk3_amplification(z):

@@ -89,6 +89,7 @@ def test_stability_json(tmp_path):
     doc = json.loads(out.read_text())
     assert abs(doc["max_eigenvalue_modulus"] - 15.157) < 0.01
     assert round(doc["cfl_bound"], 2) == 0.11
+    assert doc["integrator"] == "TVDRK3"
 
 
 def test_singular_operator_is_numerical_failure(capsys):
@@ -132,7 +133,7 @@ def test_run_summary(tmp_path):
     out = tmp_path / "sum.json"
     snap = tmp_path / "snap.csv"
     code = run_cli("run", "--example", "linear", "--c", "1", "--scheme",
-                   "tdcncs", "--order", "8", "--N", "20", "--t-final", "1",
+                   "tdcncs", "--N", "20", "--t-final", "1",
                    "--out", str(out), "--snapshot", str(snap))
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
@@ -211,6 +212,18 @@ def test_converge_stdout_matches_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_bytes().decode()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("run", "--order", "8"), "order"),
+    (("stability", "--integrator", "TVDRK3"), "integrator"),
+])
+def test_single_valued_options_are_gone(argv, key, tmp_path, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    assert run_cli(argv[0], "--config", str(cfg)) == EXIT_USAGE
+    assert f"unknown config key(s) {key}" in capsys.readouterr().err
+
+
 def test_seed_is_not_an_option(tmp_path, capsys):
     assert run_cli("run", "--seed", "1") == EXIT_USAGE
     cfg = tmp_path / "cfg.json"
@@ -265,7 +278,7 @@ def test_empty_config_is_all_defaults(tmp_path):
 
 _EXPERIMENT_DEFAULTS = {
     "example": "linear", "c": None, "eps": None, "x0": None,
-    "scheme": "TDCNCS", "order": 8, "dt_rule": "cfl_h3", "cfl": 0.01,
+    "scheme": "TDCNCS", "dt_rule": "cfl_h3", "cfl": 0.01,
     "dt": None, "filter": None, "t_final": None, "out": None,
 }
 GOLDEN_DEFAULTS = {
@@ -273,8 +286,7 @@ GOLDEN_DEFAULTS = {
     "spectrum": {"scheme": "TDCCS-T8", "samples": 400, "out": None},
     "efficiency": {"schemes": "all", "eps": 1e-3, "mode": "band_edge",
                    "out": None},
-    "stability": {"scheme": "TDCCS-T8", "n": 1024, "integrator": "TVDRK3",
-                  "out": None},
+    "stability": {"scheme": "TDCCS-T8", "n": 1024, "out": None},
     "filter-analyze": {"name": "F12", "alpha_f": 0.4, "samples": 400,
                        "out": None},
     "ls-optimize": {"family": "TDCCS", "variant": "T8", "r": 1.0,
@@ -297,13 +309,13 @@ def test_dump_config_writes_each_default(command, tmp_path):
 @pytest.mark.parametrize("command, doc", [
     # refused as the same text given to the flag is
     ("run", {"n": 40.5, "t_final": 1e-3}),
-    ("run", {"order": 8.9, "t_final": 1e-3}),
+    ("run", {"dt": 5e-3, "t_final": 1e-3}),  # a dt without --dt-rule fixed
     ("spectrum", {"samples": 12.7}),
     ("coeffs", {"scheme": 5}),
     ("run", {"filter": 3, "t_final": 1e-3}),
     # choices and nulls, which argparse checks on no default
     ("coeffs", {"format": "yaml"}),
-    ("stability", {"integrator": "RK4"}),
+    ("stability", {"n": None}),
     ("spectrum", {"samples": None}),
     ("run", {"cfl": None, "t_final": 1e-3}),
     ("converge", {"serial": "no", "ns": "8", "t_final": 1e-3}),
@@ -367,6 +379,8 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("filter-analyze", "--samples", "1"),
     ("filter-analyze", "--samples", "-2"),
     ("stability", "--scheme", "CI-T8"),
+    ("run", "--example", "linear", "--N", "20", "--t-final", "0.01",
+     "--dt", "0.005"),
 ])
 def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
     assert run_cli(*argv) == EXIT_USAGE
@@ -400,14 +414,17 @@ PRESET_FLAGS = {
 @st.composite
 def _experiment_argv(draw, command, examples):
     example = draw(st.sampled_from(examples))
-    flags = ["--cfl", "--dt", "--t-final", *PRESET_FLAGS[example]]
+    dt_rule = draw(st.sampled_from(("cfl_h3", "half_h2", "fixed")))
+    # --dt goes with the fixed rule only; elsewhere it is refused outright
+    flags = ["--cfl", *(("--dt",) if dt_rule == "fixed" else ()), "--t-final",
+             *PRESET_FLAGS[example]]
     flags.append("--N" if command == "run" else "--Ns")
     if draw(st.booleans()):
         flags.append("--filter")
     hostile = draw(st.sets(st.sampled_from(flags), max_size=2))
     argv = [command, "--example", example,
             "--scheme", draw(st.sampled_from(("tdcncs", "tdccs"))),
-            "--dt-rule", draw(st.sampled_from(("cfl_h3", "half_h2", "fixed")))]
+            "--dt-rule", dt_rule]
     for flag in flags:
         pool = HOSTILE_POOLS[flag] if flag in hostile else VALID[flag]
         argv += [flag, draw(st.sampled_from(pool))]

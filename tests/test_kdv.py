@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from dispersive_compact import kdv, spectral
-from dispersive_compact.operators import (
-    DENSE_LIMIT,
-    DualGridFunction,
-    FilterOperator,
-    GridFunction,
-    filter_by_name,
-)
+from dispersive_compact.kdv import DualGridFunction
+from dispersive_compact.operators import DENSE_LIMIT, FilterOperator, filter_by_name
 from dispersive_compact.timeint import DivergenceError
 
 
@@ -42,9 +37,8 @@ def test_unknown_preset():
 
 
 def test_error_norm_examples():
-    h = 1.0
-    num = GridFunction(np.array([3.0, 4.0]), h)
-    ref = GridFunction(np.array([0.0, 0.0]), h)
+    num = np.array([3.0, 4.0])
+    ref = np.array([0.0, 0.0])
     # wrapped-endpoint convention over N+1 = 3 samples: diff = (3, 4, 3)
     linf, l1, l2 = kdv.error_norms(num, ref)
     assert linf == 4.0
@@ -52,17 +46,13 @@ def test_error_norm_examples():
     assert l2 == pytest.approx(math.sqrt(34.0 / 3.0))
     same = kdv.error_norms(num, num)
     assert same == (0.0, 0.0, 0.0)
-    shifted = kdv.error_norms(
-        GridFunction(np.array([1.5, 1.5]), h), GridFunction(np.zeros(2), h)
-    )
+    shifted = kdv.error_norms(np.array([1.5, 1.5]), np.zeros(2))
     assert shifted == (1.5, 1.5, 1.5)
 
 
 def test_error_norms_length_mismatch():
     with pytest.raises(ValueError):
-        kdv.error_norms(
-            GridFunction(np.zeros(4), 1.0), GridFunction(np.zeros(5), 1.0)
-        )
+        kdv.error_norms(np.zeros(4), np.zeros(5))
 
 
 def test_semidiscrete_rhs_constant_is_zero():
@@ -140,6 +130,8 @@ def test_dt_rules():
     {"cfl": 0.0}, {"cfl": -0.01}, {"cfl": float("nan")}, {"cfl": float("inf")},
     {"dt": 0.0}, {"dt": float("inf")}, {"dt": float("nan")},
     {"t_final": -1.0}, {"t_final": float("nan")}, {"t_final": float("inf")},
+    # a dt other rules would ignore, and the fixed rule without one
+    {"dt": 5e-3}, {"dt_rule": "h2", "dt": 5e-3}, {"dt_rule": "fixed"},
 ])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
@@ -189,14 +181,6 @@ def test_filter_cadence_validated():
     with pytest.raises(ValueError):
         kdv.FilterConfig("F12", 0.4, 0)
 
-
-def test_conserved_mass_examples():
-    zero = GridFunction(np.zeros(10), 0.1)
-    assert kdv.conserved_mass(zero) == 0.0
-    const = GridFunction(np.full(10, 3.0), 0.1)  # field 3 on [0,1]
-    assert kdv.conserved_mass(const) == pytest.approx(3.0)
-    dual = DualGridFunction(np.ones(4), np.full(4, 2.0), 0.25)
-    assert kdv.conserved_mass(dual) == (pytest.approx(1.0), pytest.approx(2.0))
 
 
 def test_history_recording():
@@ -254,6 +238,18 @@ def test_snapshot_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,u_numeric,u_exact,abs_error"
     assert len(lines) == 17
+
+
+def test_dual_snapshot_csv_writes_the_node_values(tmp_path):
+    p = kdv.make_problem("linear", c=1.0)
+    d = kdv.Discretization("TDCCS", 16, p.length, p.x_lo)
+    r = kdv.integrate(p, d, kdv.RunConfig(t_final=0.01))
+    path = tmp_path / "snap.csv"
+    kdv.snapshot_to_csv(path, r)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 16
+    assert [row[0] for row in rows] == [f"{v:.12g}" for v in d.nodes()]
+    assert [row[1] for row in rows] == [f"{v:.12g}" for v in r.state.node_values]
 
 
 def test_unknown_family():

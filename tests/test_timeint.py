@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dispersive_compact.operators import DualGridFunction, GridFunction
 from dispersive_compact.timeint import (
     DivergenceError,
     rk3_amplification,
@@ -49,27 +48,6 @@ def test_imaginary_axis_extent():
     assert rk3_stability_contains(-1.73j)
 
 
-def test_grid_function_container_preserved():
-    f = GridFunction(np.ones(8), 0.5, domain_start=1.0)
-    out = tvdrk3_step(f, lambda g: GridFunction(np.zeros(8), g.h, g.domain_start), 0.1)
-    assert isinstance(out, GridFunction)
-    assert out.h == 0.5 and out.domain_start == 1.0
-    assert np.allclose(out.values, 1.0)
-
-
-def test_dual_container_preserved():
-    f = DualGridFunction(np.ones(6), np.full(6, 2.0), 0.5)
-
-    def rhs(g):
-        return DualGridFunction(-g.node_values, -g.center_values, g.h, g.domain_start)
-
-    out = tvdrk3_step(f, rhs, 0.1)
-    assert isinstance(out, DualGridFunction)
-    decay = rk3_amplification(-0.1).real
-    assert np.allclose(out.node_values, decay)
-    assert np.allclose(out.center_values, 2.0 * decay)
-
-
 def test_divergence_detected():
     def rhs(u):
         return u * np.inf
@@ -100,16 +78,13 @@ def test_divergence_names_the_stage_and_step(stage):
 
 @pytest.mark.parametrize("wrap, rhs", [
     (lambda v: v, lambda u: -u),
-    (lambda v: GridFunction(v, 0.5), lambda g: GridFunction(-g.values, g.h)),
-    (lambda v: DualGridFunction(v[:4], v[4:], 0.5),
-     lambda g: DualGridFunction(-g.node_values, -g.center_values, g.h)),
+    # any dtype: criterion 11 steps a complex array
+    (lambda v: v * (1.0 - 0.5j), lambda u: -u),
 ])
 def test_step_leaves_its_input_unmodified(wrap, rhs):
-    values = np.linspace(0.5, 1.5, 8)
-    out = tvdrk3_step(wrap(values), rhs, 0.1)
-    assert np.array_equal(values, np.linspace(0.5, 1.5, 8))
+    u = wrap(np.linspace(0.5, 1.5, 8))
+    out = tvdrk3_step(u, rhs, 0.1)
+    assert np.array_equal(u, wrap(np.linspace(0.5, 1.5, 8)))
+    assert out.dtype == u.dtype
     decay = rk3_amplification(-0.1).real
-    out_values = np.concatenate(
-        (out.node_values, out.center_values) if isinstance(out, DualGridFunction)
-        else (getattr(out, "values", out),))
-    assert np.allclose(out_values, decay * values)
+    assert np.allclose(out, decay * u)
