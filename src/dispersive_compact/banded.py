@@ -9,7 +9,7 @@ costs O(n).  A dense LU path is provided as a test oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 
 class SingularOperatorError(ValueError):
@@ -34,11 +34,15 @@ def check_invertible(alpha: float, beta: float, tol: float = 1e-10) -> None:
 
 
 class CyclicBandedSolver:
-    """Factorization-style object for a cyclic (beta, alpha, 1, alpha, beta) band.
+    """Factorization of a cyclic (beta, alpha, 1, alpha, beta) band.
 
-    Precomputes the corner-correction data once; ``solve`` is then a single
-    banded solve plus a rank-2 (tridiagonal) or rank-4 (pentadiagonal)
-    correction.  Immutable after construction and safe to share.
+    Factors the truncated band once by LAPACK (``dgttrf`` when tridiagonal,
+    ``dgbtrf`` when pentadiagonal) and precomputes the corner-correction
+    data; ``solve`` is then one pair of triangular sweeps (``dgttrs`` /
+    ``dgbtrs``) plus a rank-2 (tridiagonal) or rank-4 (pentadiagonal)
+    correction.  The sweeps are the ones ``scipy.linalg.solve_banded`` runs,
+    so the results are the same bits.  Immutable after construction and safe
+    to share; ``solve`` never writes to its argument.
     """
 
     def __init__(self, n: int, alpha: float, beta: float = 0.0):
@@ -63,6 +67,16 @@ class CyclicBandedSolver:
             else:
                 ab[p - off, :off] = val
         self._ab = ab
+        if p == 1:
+            *factor, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        else:
+            # dgbtrf keeps p extra superdiagonal rows for the row interchanges
+            *factor, info = lapack.dgbtrf(np.vstack((np.zeros((p, n)), ab)), p, p)
+        if info != 0:
+            raise SingularOperatorError(
+                f"truncated band is singular (info={info}) for alpha={alpha}, beta={beta}"
+            )
+        self._factor = tuple(factor)
 
         # wrap entries missing from the truncated band, as rank-2p correction
         corners = []
@@ -79,11 +93,18 @@ class CyclicBandedSolver:
             for i, j, val in corners:
                 if i == r:
                     vt[k, j] += val
-        g = solve_banded((p, p), ab, u)
+        g = self._band_solve(u)
         cap = np.eye(len(rows)) + vt @ g
         self._g = g
         self._vt = vt
         self._cap_inv = np.linalg.inv(cap)
+
+    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the truncated band by the stored factor; rhs is copied."""
+        if self.bandwidth == 1:
+            return lapack.dgttrs(*self._factor, rhs)[0]
+        lu, ipiv = self._factor
+        return lapack.dgbtrs(lu, 2, 2, rhs, ipiv)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (n,) or (n, k)."""
@@ -92,8 +113,7 @@ class CyclicBandedSolver:
             raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
         if self.bandwidth == 0:
             return rhs.copy()
-        p = self.bandwidth
-        y = solve_banded((p, p), self._ab, rhs)
+        y = self._band_solve(rhs)
         return y - self._g @ (self._cap_inv @ (self._vt @ y))
 
     def dense(self) -> np.ndarray:

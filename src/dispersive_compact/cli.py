@@ -92,7 +92,8 @@ def build_parser() -> _Parser:
                        help="family: tdcncs or tdccs")
         p.add_argument("--dt-rule", dest="dt_rule", default="cfl_h3",
                        choices=["cfl_h3", "half_h2", "h2", "fixed"])
-        p.add_argument("--cfl", type=float, default=0.01)
+        p.add_argument("--cfl", type=float,
+                       help="with --dt-rule cfl_h3 only (default 0.01)")
         p.add_argument("--dt", type=float, help="with --dt-rule fixed only")
         p.add_argument("--filter", help="NAME:ALPHA_F:EVERY, e.g. F12:0.4:20")
         p.add_argument("--t-final", dest="t_final", type=float)

@@ -343,7 +343,7 @@ class FilterConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dt_rule: str = "cfl_h3"  # cfl_h3 | half_h2 | h2 | fixed
-    cfl: float = 0.01
+    cfl: float | None = None  # cfl_h3 only; None: 0.01
     dt: float | None = None  # given with dt_rule == "fixed" and only with it
     filter: FilterConfig | None = None
     record_every: int = 0  # 0: no history
@@ -351,8 +351,11 @@ class RunConfig:
 
     def __post_init__(self):
         _whole("record_every", self.record_every, 0)
-        if not (math.isfinite(self.cfl) and self.cfl > 0):
+        if self.cfl is not None and not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
+        if self.cfl is not None and self.dt_rule != "cfl_h3":
+            raise ValueError(f"a cfl goes with dt_rule 'cfl_h3' only; "
+                             f"got dt_rule {self.dt_rule!r} and cfl {self.cfl}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if (self.dt is not None) != (self.dt_rule == "fixed"):
@@ -365,7 +368,7 @@ class RunConfig:
 
     def timestep(self, h: float) -> float:
         if self.dt_rule == "cfl_h3":
-            return self.cfl * h ** 3
+            return (0.01 if self.cfl is None else self.cfl) * h ** 3
         if self.dt_rule == "half_h2":
             return 0.5 * h * h
         if self.dt_rule == "h2":

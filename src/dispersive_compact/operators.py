@@ -20,14 +20,35 @@ from .banded import CyclicBandedSolver
 from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 
-# Circulant sizes up to DENSE_LIMIT apply a cached dense matrix; larger ones
-# apply the operator's symbol by real FFT.  Measured on a 2-vCPU x86-64 VM
-# with one BLAS thread, dense matvec vs FFT apply: 8.8 vs 14.2 us at 240,
-# 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs 46 us at 2048
-# (a rerun had them cross between 240 and 320).  Near the limit the two
-# differ by microseconds per apply.  The linear tables run at sizes up to 240,
-# and their round-off-floor errors depend on the dense path's exact rounding.
+# Circulant sizes up to DENSE_LIMIT apply a cached dense matrix.  Measured on
+# a 2-vCPU x86-64 VM with one BLAS thread, dense matvec vs FFT apply: 8.8 vs
+# 14.2 us at 240, 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs
+# 46 us at 2048 (a rerun had them cross between 240 and 320).  Near the limit
+# the two differ by microseconds per apply.  The linear tables run at sizes up
+# to 240, and their round-off-floor errors depend on the dense path's exact
+# rounding.
+#
+# Above the limit the FFT's cost depends on how the size factors, while the
+# factored banded solve (``apply_array``) is O(N) at any size.  One apply,
+# banded vs FFT, same VM (us; TDCCS-T8 at the sizes 2N = 386, 4098 and 8194,
+# TDCNCS-T8 at the others):
+#
+#   size     386   1021   2049   4097   4098   8194 |  385   2048   4096   8192
+#   banded    35     40     74    155    114    248 |   26     72    150    371
+#   FFT       62    149    307    249    662    516 |   18     34     74    162
+#
+# The FFT also won at the 13-smooth sizes 400, 1001, 4225 and 4400.  So
+# ``matvec`` uses the FFT at sizes whose prime factors are all <= 13 and the
+# banded solve at the others.
 DENSE_LIMIT = 384
+
+
+def _fft_is_fast(size: int) -> bool:
+    """Whether every prime factor of ``size`` is at most 13."""
+    for p in (2, 3, 5, 7, 11, 13):
+        while size % p == 0:
+            size //= p
+    return size == 1
 
 
 class CompactOperator:
@@ -58,6 +79,7 @@ class CompactOperator:
         self.n = int(n)
         self.h = float(h)
         self._grid_taps = grid_taps(taps, grid_kind, derivative_order)
+        self._pad = max(abs(shift) for shift, _ in self._grid_taps)
         self.solver = CyclicBandedSolver(self.n, float(alpha), float(beta))
         self._scale = self.h ** (-derivative_order)
         self.size = 2 * self.n if grid_kind == "dual" else self.n
@@ -69,9 +91,12 @@ class CompactOperator:
         self._dense: np.ndarray | None = None
 
     def _rhs(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(values))
+        # row i reads values[i + shift]: slices of one periodically padded copy
+        pad, size = self._pad, len(values)
+        padded = np.concatenate((values[size - pad:], values, values[:pad]))
+        out = np.zeros(size)
         for shift, w in self._grid_taps:
-            out += w * np.roll(values, -shift)
+            out += w * padded[pad + shift: pad + shift + size]
         return out * self._scale
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
@@ -96,15 +121,17 @@ class CompactOperator:
 
     def matvec(self, values: np.ndarray, out=None) -> np.ndarray:
         """Operator action on a raw array as time loops apply it: the cached
-        dense matrix for sizes up to DENSE_LIMIT, ``apply_fft`` above.  The
+        dense matrix for sizes up to DENSE_LIMIT; above, ``apply_fft`` at
+        sizes whose FFT is fast and ``apply_array`` at the others.  The
         result is written into ``out`` when given, which may be ``values``."""
         if self.size <= DENSE_LIMIT:
             if self._dense is None:
                 self.dense_matrix()
             return np.dot(self._dense, values, out=out)
+        apply = self.apply_fft if _fft_is_fast(self.size) else self.apply_array
         if out is None:
-            return self.apply_fft(values)
-        out[...] = self.apply_fft(values)
+            return apply(values)
+        out[...] = apply(values)
         return out
 
     def dense_matrix(self) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from dispersive_compact.banded import (
     CyclicBandedSolver,
@@ -124,3 +125,34 @@ def test_solve_then_multiply_recovers_rhs(n, alpha, seed):
     x = solver.solve(rhs)
     back = solver.dense() @ x
     assert np.max(np.abs(back - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (205 / 472, 0.0), (-1261 / 3530, 0.0), (0.375, 0.0), (0.4, 0.0),
+    (799 / 2739, -557 / 5478), (10 / 21, 5 / 126), (0.45, 0.06),
+])
+def test_factored_solve_is_bit_identical_to_solve_banded(alpha, beta):
+    # the dense operator bits the acceptance tables rest on were built by
+    # scipy's solve_banded; the stored LAPACK factor must reproduce them
+    p = 2 if beta else 1
+    rng = np.random.default_rng(17)
+    for n in (2 * p + 1, 8, 20, 240, 2049, 4097):
+        solver = CyclicBandedSolver(n, alpha, beta)
+        ab = solver._ab.copy()
+
+        def oracle(b):
+            y = solve_banded((p, p), ab, b)
+            return y - solver._g @ (solver._cap_inv @ (solver._vt @ y))
+
+        rows = [*range(p), *range(n - p, n)]  # the corner rows of the _g build
+        assert np.array_equal(solver._g,
+                              solve_banded((p, p), ab, np.eye(n)[:, rows]))
+        cases = [rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
+                 for _ in range(20)]
+        cases += [np.eye(n)[:, j] for j in {0, 1, n // 2, n - 1}]
+        cases.append(rng.normal(size=(n, 7)))
+        for b in cases:
+            before = b.copy()
+            assert np.array_equal(solver.solve(b), oracle(b)), n
+            assert np.array_equal(b, before)
+        assert np.array_equal(solver._ab, ab)

@@ -278,7 +278,7 @@ def test_empty_config_is_all_defaults(tmp_path):
 
 _EXPERIMENT_DEFAULTS = {
     "example": "linear", "c": None, "eps": None, "x0": None,
-    "scheme": "TDCNCS", "dt_rule": "cfl_h3", "cfl": 0.01,
+    "scheme": "TDCNCS", "dt_rule": "cfl_h3", "cfl": None,
     "dt": None, "filter": None, "t_final": None, "out": None,
 }
 GOLDEN_DEFAULTS = {
@@ -317,7 +317,7 @@ def test_dump_config_writes_each_default(command, tmp_path):
     ("coeffs", {"format": "yaml"}),
     ("stability", {"n": None}),
     ("spectrum", {"samples": None}),
-    ("run", {"cfl": None, "t_final": 1e-3}),
+    ("run", {"dt_rule": None, "t_final": 1e-3}),
     ("converge", {"serial": "no", "ns": "8", "t_final": 1e-3}),
 ])
 def test_bad_config_value_is_one_line_usage_error(command, doc, tmp_path,
@@ -381,6 +381,8 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("stability", "--scheme", "CI-T8"),
     ("run", "--example", "linear", "--N", "20", "--t-final", "0.01",
      "--dt", "0.005"),
+    ("run", "--example", "linear", "--N", "20", "--t-final", "0.01",
+     "--dt-rule", "half_h2", "--cfl", "5"),
 ])
 def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
     assert run_cli(*argv) == EXIT_USAGE
@@ -415,9 +417,10 @@ PRESET_FLAGS = {
 def _experiment_argv(draw, command, examples):
     example = draw(st.sampled_from(examples))
     dt_rule = draw(st.sampled_from(("cfl_h3", "half_h2", "fixed")))
-    # --dt goes with the fixed rule only; elsewhere it is refused outright
-    flags = ["--cfl", *(("--dt",) if dt_rule == "fixed" else ()), "--t-final",
-             *PRESET_FLAGS[example]]
+    # --cfl goes with the cfl_h3 rule only and --dt with the fixed rule only;
+    # elsewhere each is refused outright
+    rule_flags = {"cfl_h3": ("--cfl",), "fixed": ("--dt",)}.get(dt_rule, ())
+    flags = [*rule_flags, "--t-final", *PRESET_FLAGS[example]]
     flags.append("--N" if command == "run" else "--Ns")
     if draw(st.booleans()):
         flags.append("--filter")

@@ -106,7 +106,8 @@ def test_small_grids_apply_the_dense_matrix_exactly(family, n):
     assert np.array_equal(d.first(v), d.d1_op.dense_matrix() @ v)
 
 
-@pytest.mark.parametrize("family, n", [("TDCNCS", 385), ("TDCCS", 193)])
+# circulant sizes 385 = 5*7*11 and 400 = 2^4 * 5^2 factor into primes <= 13
+@pytest.mark.parametrize("family, n", [("TDCNCS", 385), ("TDCCS", 200)])
 def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
@@ -115,8 +116,19 @@ def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
     assert d.d3_op._dense is None and d.d1_op._dense is None
 
 
+# circulant sizes 389 (prime) and 386 = 2 * 193 have a prime factor above 13
+@pytest.mark.parametrize("family, n", [("TDCNCS", 389), ("TDCCS", 193)])
+def test_large_grids_apply_by_banded_solve_without_a_dense_build(family, n):
+    d = kdv.Discretization(family, n, 2 * np.pi)
+    v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
+    assert np.array_equal(d.third(v), d.d3_op.apply_array(v))
+    assert np.array_equal(d.first(v), d.d1_op.apply_array(v))
+    assert d.d3_op._dense is None and d.d1_op._dense is None
+
+
 def test_dt_rules():
     assert kdv.RunConfig(dt_rule="cfl_h3", cfl=0.01).timestep(0.1) == pytest.approx(1e-5)
+    assert kdv.RunConfig().timestep(0.1) == 0.01 * 0.1 ** 3
     assert kdv.RunConfig(dt_rule="half_h2").timestep(0.2) == pytest.approx(0.02)
     assert kdv.RunConfig(dt_rule="h2").timestep(0.2) == pytest.approx(0.04)
     assert kdv.RunConfig(dt_rule="fixed", dt=3e-4).timestep(0.2) == 3e-4
@@ -132,6 +144,9 @@ def test_dt_rules():
     {"t_final": -1.0}, {"t_final": float("nan")}, {"t_final": float("inf")},
     # a dt other rules would ignore, and the fixed rule without one
     {"dt": 5e-3}, {"dt_rule": "h2", "dt": 5e-3}, {"dt_rule": "fixed"},
+    # a cfl the rules other than cfl_h3 would ignore
+    {"dt_rule": "half_h2", "cfl": 5.0}, {"dt_rule": "h2", "cfl": 0.01},
+    {"dt_rule": "fixed", "dt": 5e-3, "cfl": 0.01},
 ])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):
@@ -284,11 +299,15 @@ def _oracle_state(problem, disc, config):
     dt = t_final / n_steps
 
     def by_rule(op):
-        # the dense/FFT rule of CompactOperator.matvec
+        # the dense/FFT/banded rule of CompactOperator.matvec
         if op.size <= DENSE_LIMIT:
             dense = op.dense_matrix()
             return lambda v: dense @ v
-        return op.apply_fft
+        size, largest_prime = op.size, 1
+        for p in range(2, op.size + 1):
+            while size % p == 0:
+                size, largest_prime = size // p, p
+        return op.apply_fft if largest_prime <= 13 else op.apply_array
 
     third, first = by_rule(disc.d3_op), by_rule(disc.d1_op)
 

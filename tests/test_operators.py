@@ -210,10 +210,37 @@ def test_filter_matvec_matches_banded_apply(name, grid_kind):
         assert np.array_equal(v, got)
 
 
-@pytest.mark.parametrize("n", [32, 193])
+# the path matvec takes above the dense limit: the FFT where every prime
+# factor of the size is <= 13, the banded solve elsewhere
+MATVEC_PATHS = {385: "apply_fft", 386: "apply_array", 389: "apply_array",
+                400: "apply_fft", 4096: "apply_fft", 4097: "apply_array",
+                4098: "apply_array", 8194: "apply_array"}
+_MATVEC_CASES = [(size, "node") for size in MATVEC_PATHS] + [
+    (size, kind) for size in MATVEC_PATHS if size % 2 == 0
+    for kind in ("dual", "dual filter")]
+
+
+@pytest.mark.parametrize("size, kind", _MATVEC_CASES)
+def test_matvec_takes_the_path_of_its_size(size, kind):
+    if kind == "node":
+        op = build_operator("TDCNCS-T8", size, 2 * np.pi / size)
+    elif kind == "dual":
+        op = build_operator("TDCCS-T8", size // 2, 4 * np.pi / size)
+    else:
+        op = FilterOperator(filter_by_name("F12", 0.4), size // 2, "dual")
+    assert op.size == size
+    v = np.random.default_rng(size).normal(size=size)
+    want = getattr(op, MATVEC_PATHS[size])(v)
+    assert np.array_equal(op.matvec(v), want)
+    assert np.array_equal(op.matvec(v, out=v), want)
+    assert op._dense is None
+
+
+@pytest.mark.parametrize("n", [32, 193, 200])
 def test_dual_filter_filters_each_parity_as_a_node_filter(n):
-    # at n = 193 the dual filter (size 386) takes the FFT path and the node
-    # filter the dense one
+    # the node filter takes the dense path; the dual filter takes it at
+    # n = 32, the banded solve at n = 193 (size 386 = 2 * 193) and the FFT at
+    # n = 200 (size 400 = 2^4 * 5^2)
     spec = filter_by_name("F12", 0.4)
     node, dual = FilterOperator(spec, n), FilterOperator(spec, n, "dual")
     rng = np.random.default_rng(11)
