@@ -1,6 +1,7 @@
 """Command-line front end: coefficient tables, spectra, resolving efficiency,
 stability bounds, filter analysis, least-squares optimization, and the
-experiment / convergence-study harness.  Emits CSV and JSON only.
+experiment / convergence-study harness.  Every output file, CSV or JSON, is
+written here; the library computes rows and documents.
 """
 
 from __future__ import annotations
@@ -183,6 +184,8 @@ def _output(path):
 
 
 def _write_rows(path, header, rows):
+    """CSV to ``path``, or stdout without one.  ``rows`` is a list built before
+    the file opens, so a refused input leaves no file behind."""
     with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -216,9 +219,21 @@ def _cmd_coeffs(cfg) -> int:
     return EXIT_OK
 
 
+def _samples(cfg) -> int:
+    if cfg["samples"] < 2:
+        raise UsageError(f"--samples must be >= 2, got {cfg['samples']}")
+    return cfg["samples"]
+
+
 def _cmd_spectrum(cfg) -> int:
-    spectral.write_spectrum_csv(cfg["out"] or sys.stdout, cfg["scheme"],
-                                cfg["samples"])
+    # w = k*pi/samples for 0 < k < samples: T4-type denominators vanish at pi
+    omega = np.linspace(0.0, np.pi, _samples(cfg), endpoint=False)[1:]
+    sym = spectral.scheme_symbol(cfg["scheme"])
+    psi = sym.psi(omega)
+    rel = psi / omega ** sym.derivative_order
+    rows = [[f"{w:.10g}", f"{p:.12e}", f"{w ** 3:.12e}", f"{r:.12e}"]
+            for w, p, r in zip(omega, psi, rel)]
+    _write_rows(cfg["out"], ["omega", "psi", "omega_cubed", "R"], rows)
     return EXIT_OK
 
 
@@ -252,10 +267,8 @@ def _cmd_stability(cfg) -> int:
 
 
 def _cmd_filter_analyze(cfg) -> int:
-    if cfg["samples"] < 2:
-        raise UsageError(f"--samples must be >= 2, got {cfg['samples']}")
+    omega = np.linspace(0.0, np.pi, _samples(cfg))
     spec = filter_by_name(cfg["name"], cfg["alpha_f"])
-    omega = np.linspace(0.0, np.pi, cfg["samples"])
     transfer = spec.transfer(omega)
     rows = [[f"{w:.10g}", f"{t:.12e}"] for w, t in zip(omega, transfer)]
     _write_rows(cfg["out"], ["omega", "T"], rows)
@@ -313,6 +326,18 @@ def _make_problem(cfg) -> kdv.KdvProblem:
         raise UsageError(f"bad parameters for preset {cfg['example']!r}: {err}") from None
 
 
+def _snapshot_rows(result) -> list:
+    """x, u and, with an exact solution, u_exact and |u - u_exact| at the
+    nodes; the last two cells are empty without one."""
+    x = result.disc.nodes()
+    u = result.state.node_values if result.disc.dual else result.state.values
+    if result.problem.exact is None:
+        return [[f"{xi:.12g}", f"{ui:.12g}", "", ""] for xi, ui in zip(x, u)]
+    ue = result.problem.exact(x, result.t_final)
+    return [[f"{xi:.12g}", f"{ui:.12g}", f"{ei:.12g}", f"{abs(ui - ei):.12g}"]
+            for xi, ui, ei in zip(x, u, ue)]
+
+
 def _cmd_run(cfg) -> int:
     family = _family_from_cfg(cfg)
     problem = _make_problem(cfg)
@@ -320,7 +345,8 @@ def _cmd_run(cfg) -> int:
     disc = kdv.Discretization(family, cfg["n"], problem.length, problem.x_lo)
     result = kdv.integrate(problem, disc, config)
     if cfg["snapshot"]:
-        kdv.snapshot_to_csv(cfg["snapshot"], result)
+        _write_rows(cfg["snapshot"], ["x", "u_numeric", "u_exact", "abs_error"],
+                    _snapshot_rows(result))
     summary = {
         "example": problem.name,
         "scheme": disc.third_scheme,
@@ -351,9 +377,11 @@ def _cmd_converge(cfg) -> int:
         cfg["example"], family, ns, _run_config(cfg),
         params=_problem_params(cfg), parallel=not cfg["serial"],
     )
-    report.to_csv(cfg["out"] or sys.stdout)
+    rows = [["" if v is None else (v if isinstance(v, int) else f"{v:.6e}")
+             for v in row] for row in report.rows()]
+    _write_rows(cfg["out"], report.CSV_HEADER, rows)
     if cfg["json"]:
-        report.to_json(cfg["json"])
+        _write_json(cfg["json"], report.to_json_dict())
     return EXIT_OK
 
 

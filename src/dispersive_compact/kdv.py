@@ -1,12 +1,10 @@
-"""Periodic KdV-type problems  u_t + g(u)_x + eps*u_xxx = 0  and their
-semidiscrete / fully discrete solution, error norms and convergence studies.
+"""Periodic KdV-type problems  u_t + g(u)_x + eps*u_xxx = 0  with the flux
+g(u) = kappa*u^2, and their semidiscrete / fully discrete solution, error
+norms and convergence studies.  The module writes no files.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import json
 import math
 import numbers
 import os
@@ -36,9 +34,7 @@ class KdvProblem:
     name: str
     x_lo: float
     x_hi: float
-    g_flux: object  # u -> g(u), vectorized
-    g_prime: object  # u -> g'(u), for the convective time-step guard
-    g_tag: str  # "zero", "-3u^2", "u^2/2"
+    kappa: float  # flux g(u) = kappa*u^2, so g'(u) = 2*kappa*u
     epsilon: float
     initial: object  # x -> u0(x)
     exact: object | None  # (x, t) -> u, or None
@@ -71,9 +67,7 @@ def _linear(c=1.0):
     return KdvProblem(
         name="linear",
         x_lo=0.0, x_hi=2.0 * np.pi,
-        g_flux=lambda u: np.zeros_like(u),
-        g_prime=lambda u: np.zeros_like(u),
-        g_tag="zero",
+        kappa=0.0,
         epsilon=c ** -2,
         initial=lambda x: np.sin(c * x),
         exact=lambda x, t: np.sin(c * (x + t)),
@@ -86,9 +80,7 @@ def _soliton():
     return KdvProblem(
         name="soliton",
         x_lo=-10.0, x_hi=12.0,
-        g_flux=lambda u: -3.0 * u * u,
-        g_prime=lambda u: -6.0 * u,
-        g_tag="-3u^2",
+        kappa=-3.0,
         epsilon=1.0,
         initial=lambda x: -2.0 * _sech(x) ** 2,
         exact=lambda x, t: -2.0 * _sech(x - 4.0 * t) ** 2,
@@ -96,18 +88,13 @@ def _soliton():
     )
 
 
-def _burgers_flux():
-    return (lambda u: 0.5 * u * u), (lambda u: u), "u^2/2"
-
-
 def _single_soliton(c=0.3, eps=5e-4, x0=0.5):
     c, eps, x0 = _checked(("c", "eps"), c=c, eps=eps, x0=x0)
     (k,) = _checked(("k",), k=0.5 * math.sqrt(c / eps))
-    g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="single_soliton",
         x_lo=0.0, x_hi=2.0,
-        g_flux=g, g_prime=gp, g_tag=tag,
+        kappa=0.5,
         epsilon=eps,
         initial=lambda x: 3.0 * c * _sech(k * (x - x0)) ** 2,
         exact=lambda x, t: 3.0 * c * _sech(k * (x - x0 - c * t)) ** 2,
@@ -121,11 +108,10 @@ def _double_soliton(c1=0.3, c2=0.1, x1=0.4, x2=0.8, eps=4.84e-4):
                                    x1=x1, x2=x2, eps=eps)
     k1, k2 = _checked(("k1", "k2"), k1=0.5 * math.sqrt(c1 / eps),
                       k2=0.5 * math.sqrt(c2 / eps))
-    g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="double_soliton",
         x_lo=0.0, x_hi=2.0,
-        g_flux=g, g_prime=gp, g_tag=tag,
+        kappa=0.5,
         epsilon=eps,
         initial=lambda x: (3.0 * c1 * _sech(k1 * (x - x1)) ** 2
                            + 3.0 * c2 * _sech(k2 * (x - x2)) ** 2),
@@ -137,11 +123,10 @@ def _double_soliton(c1=0.3, c2=0.1, x1=0.4, x2=0.8, eps=4.84e-4):
 
 def _triple_soliton(eps=1e-4):
     (eps,) = _checked(("eps",), eps=eps)
-    g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="triple_soliton",
         x_lo=0.0, x_hi=3.0,
-        g_flux=g, g_prime=gp, g_tag=tag,
+        kappa=0.5,
         epsilon=eps,
         initial=lambda x: (2.0 / 3.0) * _sech((x - 1.0) / math.sqrt(108.0 * eps)) ** 2,
         exact=None,
@@ -152,11 +137,10 @@ def _triple_soliton(eps=1e-4):
 
 def _dispersion_limit(eps=1e-4):
     (eps,) = _checked(eps=eps)
-    g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="dispersion_limit",
         x_lo=0.0, x_hi=1.0,
-        g_flux=g, g_prime=gp, g_tag=tag,
+        kappa=0.5,
         epsilon=eps,
         initial=lambda x: 2.0 + 0.5 * np.sin(2.0 * np.pi * x),
         exact=None,
@@ -167,11 +151,10 @@ def _dispersion_limit(eps=1e-4):
 
 def _tophat(eps=1e-4):
     (eps,) = _checked(eps=eps)
-    g, gp, tag = _burgers_flux()
     return KdvProblem(
         name="tophat",
         x_lo=0.0, x_hi=5.0,
-        g_flux=g, g_prime=gp, g_tag=tag,
+        kappa=0.5,
         epsilon=eps,
         initial=lambda x: np.where((x > 0.25) & (x < 4.0), 1.0, 0.0),
         exact=None,
@@ -321,8 +304,8 @@ def semidiscrete_rhs(problem: KdvProblem, disc: Discretization,
     time stepper's check."""
     rate = disc.third(values, out=out)
     np.multiply(rate, -problem.epsilon, out=rate)
-    if problem.g_tag != "zero":
-        rate -= disc.first(problem.g_flux(values), out=disc._work)
+    if problem.kappa != 0.0:
+        rate -= disc.first(problem.kappa * values * values, out=disc._work)
     return rate
 
 
@@ -411,15 +394,14 @@ def check_timestep(problem: KdvProblem, disc: Discretization, dt: float) -> None
                 f"{bound:.3e} for {disc.third_scheme}",
                 stacklevel=2,
             )
-    if problem.g_tag != "zero":
-        u0 = disc.initial_state(problem)
-        speed = float(np.max(np.abs(problem.g_prime(u0))))
-        if speed > 0 and dt > 0.5 * disc.h / speed:
-            warnings.warn(
-                f"dt={dt:.3e} exceeds the convective guard "
-                f"{0.5 * disc.h / speed:.3e}",
-                stacklevel=2,
-            )
+    u0 = disc.initial_state(problem)
+    speed = float(np.max(np.abs(2.0 * problem.kappa * u0)))  # 0 without a flux
+    if speed > 0 and dt > 0.5 * disc.h / speed:
+        warnings.warn(
+            f"dt={dt:.3e} exceeds the convective guard "
+            f"{0.5 * disc.h / speed:.3e}",
+            stacklevel=2,
+        )
 
 
 # The longest documented run (eps = 1e-6, TDCNCS N = 1600, dt = h^2) takes about
@@ -437,18 +419,13 @@ def integrate(problem: KdvProblem, disc: Discretization,
     mass0 = disc.h * float(np.sum(disc.node_values(values)))
     mass_scale = disc.h * float(np.sum(np.abs(disc.node_values(values))))
 
-    if t_final == 0.0:
-        state = disc.wrap(values)
-        norms = _norms_vs_exact(problem, disc, values, 0.0)
-        return RunResult(problem, disc, state, 0.0, 0, 0.0, norms,
-                         mass0, mass0, mass_scale, [])
-
     dt_nominal = config.timestep(disc.h)
     if not (dt_nominal > 0 and t_final / dt_nominal <= MAX_STEPS):
         raise ValueError(f"time step {dt_nominal:.3g} gives more than "
                          f"{MAX_STEPS:.0e} steps to t_final={t_final:.6g}")
-    n_steps = max(1, round(t_final / dt_nominal))
-    dt = t_final / n_steps
+    # a zero-length run takes no step, and every other run at least one
+    n_steps = max(1, round(t_final / dt_nominal)) if t_final > 0 else 0
+    dt = t_final / n_steps if n_steps else 0.0
     check_timestep(problem, disc, dt)
 
     filt = None
@@ -537,18 +514,6 @@ class ConvergenceReport:
         for n, errs, rates in zip(self.ns, self.errors, self.rates()):
             yield [n, *errs, *rates]
 
-    def to_csv(self, path) -> None:
-        """Write the table to ``path``, or to an open text file left open."""
-        with (contextlib.nullcontext(path) if hasattr(path, "write")
-              else open(path, "w", newline="")) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for row in self.rows():
-                writer.writerow(
-                    ["" if v is None else (v if isinstance(v, int) else f"{v:.6e}")
-                     for v in row]
-                )
-
     def to_json_dict(self) -> dict:
         return {
             "problem": self.problem_id,
@@ -557,11 +522,6 @@ class ConvergenceReport:
                 dict(zip(self.CSV_HEADER, row)) for row in self.rows()
             ],
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _study_worker(args):
@@ -601,27 +561,3 @@ def convergence_study(preset: str, family: str, ns: list[int],
         ns=list(ns), errors=errors,
     )
 
-
-# ---------------------------------------------------------------------------
-# snapshot serialization
-# ---------------------------------------------------------------------------
-
-SNAPSHOT_HEADER = ["x", "u_numeric", "u_exact", "abs_error"]
-
-
-def snapshot_to_csv(path, result: RunResult) -> None:
-    disc, problem = result.disc, result.problem
-    x = disc.nodes()
-    u = result.state.node_values if disc.dual else result.state.values
-    ue = problem.exact(x, result.t_final) if problem.exact is not None else None
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SNAPSHOT_HEADER)
-        for i in range(len(x)):
-            if ue is None:
-                writer.writerow([f"{x[i]:.12g}", f"{u[i]:.12g}", "", ""])
-            else:
-                writer.writerow([
-                    f"{x[i]:.12g}", f"{u[i]:.12g}", f"{ue[i]:.12g}",
-                    f"{abs(u[i] - ue[i]):.12g}",
-                ])

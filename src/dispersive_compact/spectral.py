@@ -15,8 +15,6 @@ formulas beyond pi.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,30 +56,25 @@ def grid_taps(taps, grid_kind: str, derivative_order: int):
     return out
 
 
-# a backend is (cos, sin, Fraction -> number); mpmath's is built on first use
-_NUMPY = (np.cos, np.sin, float)
-
-
-def lhs_symbol(alpha, beta, omega, cos=np.cos):
+def lhs_symbol(alpha, beta, omega):
     """Symbol A(w) = 1 + 2*alpha*cos(w) + 2*beta*cos(2w) of the implicit band."""
-    return 1.0 + 2.0 * alpha * cos(omega) + 2.0 * beta * cos(2.0 * omega)
+    return 1.0 + 2.0 * alpha * np.cos(omega) + 2.0 * beta * np.cos(2.0 * omega)
 
 
-def tap_sum(taps, omega, odd: bool, backend=_NUMPY):
+def tap_sum(taps, omega, odd: bool):
     """Symbol B(w) of (h/2 offset, weight) taps, up to the factor i of odd taps.
 
     Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
     (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
     are read.
     """
-    cos, sin, num = backend
-    trig = sin if odd else cos
+    trig = np.sin if odd else np.cos
     out = 0
     for m, w in taps:
         if m > 0:
-            out = out + 2 * num(w) * trig(m * omega / 2)
+            out = out + 2 * float(w) * trig(m * omega / 2)
         elif m == 0 and not odd:
-            out = out + num(w)
+            out = out + float(w)
     return out
 
 
@@ -167,26 +160,6 @@ class SchemeSymbol:
         if self.derivative_order != 0:
             raise ValueError("transfer function requires derivative order 0")
         return self._float(np.asarray(omega, dtype=float))
-
-    def psi_mp(self, omega):
-        """psi(w) (T(w) for d = 0), times the CI transfer if composed, at
-        mpmath's working precision from the direct sums B(w)/A(w): the oracle
-        the float evaluation is tested against.
-
-        On e^{ikx} the scheme acts as i^d B(w)/A(w), and B carries a factor i
-        for antisymmetric taps, so one real sign covers d = 0, 1 and 3.
-        """
-        import mpmath as mp
-
-        backend = (mp.cos, mp.sin, lambda q: mp.mpf(q.numerator) / q.denominator)
-        omega, num = mp.mpf(omega), backend[2]
-        den = lhs_symbol(num(self.alpha), num(self.beta), omega, mp.cos)
-        sign = -1 if self.derivative_order % 4 == 3 else 1
-        odd = self.derivative_order % 2 == 1
-        out = sign * tap_sum(self.taps, omega, odd, backend) / den
-        if self.transfer is not None:
-            out = out * self.transfer.psi_mp(omega)
-        return out
 
 
 def _chebyshev_in_y(first, count):
@@ -511,28 +484,3 @@ def max_stable_timestep(scheme_id: str, n: int = 1024) -> float:
     """Bound on dt/dx^d from TVD-RK3's imaginary-axis extent."""
     return IMAG_AXIS_LIMIT_TVDRK3 / spectral_radius(scheme_id, n)
 
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-SPECTRUM_HEADER = ["omega", "psi", "omega_cubed", "R"]
-
-
-def write_spectrum_csv(path, scheme_id: str, samples: int = 400) -> None:
-    """Symbol curve w, psi(w), w^3, R(w) at w = k*pi/samples, 0 < k < samples.
-
-    w = pi is left out: T4-type denominators vanish there.  ``path`` may also
-    be an open text file, which is written to and left open.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    omega = np.linspace(0.0, np.pi, samples, endpoint=False)[1:]
-    psi = modified_wavenumber(scheme_id, omega)
-    rel = psi / omega ** scheme_symbol(scheme_id).derivative_order
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", newline="")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPECTRUM_HEADER)
-        for w, p, r in zip(omega, psi, rel):
-            writer.writerow([f"{w:.10g}", f"{p:.12e}", f"{w ** 3:.12e}", f"{r:.12e}"])

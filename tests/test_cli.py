@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import sys
 
 import pytest
@@ -54,19 +55,78 @@ def test_spectrum_csv(tmp_path):
     assert lines[0] == "omega,psi,omega_cubed,R"
 
 
-def test_spectrum_library_and_cli_write_the_same_table(tmp_path, capsys):
-    # TDCNCS-T4's denominator vanishes at w = pi, which the grid leaves out
-    lib = tmp_path / "lib.csv"
-    out = tmp_path / "cli.csv"
-    spectral.write_spectrum_csv(lib, "TDCNCS-T4", samples=64)
-    args = ("spectrum", "--scheme", "TDCNCS-T4", "--samples", "64")
-    assert run_cli(*args, "--out", str(out)) == EXIT_OK
-    assert out.read_bytes() == lib.read_bytes()
+# The files under tests/golden/ are byte-for-byte outputs of the commands
+# below, written before the CSV and JSON writers moved from kdv and spectral
+# into the CLI; these tests pin that the move kept every byte.  The runs are a
+# few steps long, but a near-zero snapshot value prints below round-off, so a
+# numpy or BLAS build that rounds differently rewrites its last digits.
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# TDCNCS-T4's denominator vanishes at w = pi, which the 63-row grid leaves out
+SPECTRUM_ARGV = ("spectrum", "--scheme", "TDCNCS-T4", "--samples", "64")
+CONVERGE_ARGV = ("converge", "--example", "soliton", "--scheme", "tdcncs",
+                 "--Ns", "20,40", "--dt-rule", "fixed", "--dt", "1e-3",
+                 "--t-final", "0.01", "--serial")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (SPECTRUM_ARGV, "spectrum_TDCNCS-T4_64.csv"),
+    (CONVERGE_ARGV, "converge_soliton.csv"),
+], ids=["spectrum", "converge"])
+def test_table_is_the_pinned_bytes_in_a_file_and_on_stdout(argv, golden,
+                                                           tmp_path, capsys):
+    want = (GOLDEN / golden).read_bytes()
+    out = tmp_path / golden
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == want
     capsys.readouterr()
-    assert run_cli(*args) == EXIT_OK
-    assert capsys.readouterr().out == lib.read_bytes().decode()
-    rows = lib.read_text().strip().splitlines()[1:]
-    assert len(rows) == 63 and float(rows[-1].split(",")[0]) < 3.14
+    assert run_cli(*argv) == EXIT_OK
+    assert capsys.readouterr().out == want.decode()
+
+
+def test_converge_json_is_the_pinned_bytes(tmp_path):
+    # the first row's rates are empty CSV cells and JSON nulls
+    out, doc = tmp_path / "c.csv", tmp_path / "c.json"
+    assert run_cli(*CONVERGE_ARGV, "--out", str(out), "--json", str(doc)) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "converge_soliton.csv").read_bytes()
+    assert doc.read_bytes() == (GOLDEN / "converge_soliton.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("--scheme", "tdcncs", "--example", "soliton", "--N", "32",
+      "--t-final", "0.01", "--dt-rule", "half_h2"),
+     "snapshot_soliton_tdcncs.csv"),
+    (("--scheme", "tdccs", "--example", "soliton", "--N", "32",
+      "--t-final", "0.01", "--dt-rule", "fixed", "--dt", "0.002"),
+     "snapshot_soliton_tdccs.csv"),
+    (("--scheme", "tdccs", "--example", "triple_soliton", "--N", "40",
+      "--t-final", "0.01", "--dt-rule", "half_h2", "--filter", "F12:0.4:1"),
+     "snapshot_triple_soliton_tdccs.csv"),
+], ids=["node", "dual-node-values", "no-exact-solution"])
+def test_run_snapshot_is_the_pinned_bytes(argv, golden, tmp_path):
+    snap = tmp_path / golden
+    assert run_cli("run", *argv, "--snapshot", str(snap),
+                   "--out", str(tmp_path / "summary.json")) == EXIT_OK
+    assert snap.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_filter_analyze_refuses_fewer_than_two_samples_like_spectrum(
+        samples, tmp_path, capsys):
+    # one rule: test_spectral pins the same message, and no file, for spectrum
+    out = tmp_path / "t.csv"
+    assert run_cli("filter-analyze", "--samples", samples,
+                   "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: --samples must be >= 2, got {samples}\n")
+    assert not out.exists()
+
+
+def test_zero_length_run_is_validated_like_any_other(capsys):
+    # an alpha_f of 0.7 is refused at t = 0 as at t = 0.001
+    for t_final in ("0", "0.001"):
+        assert run_cli("run", "--example", "soliton", "--N", "32", "--t-final",
+                       t_final, "--filter", "F12:0.7:20") == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: |alpha_f| must be < 0.5\n"
 
 
 def test_efficiency_csv(tmp_path):
@@ -435,7 +495,7 @@ def _experiment_argv(draw, command, examples):
 
 
 def test_spectral_commands_run_without_mpmath(monkeypatch):
-    # mpmath is a test-only dependency: psi_mp imports it, nothing else may
+    # mpmath is a test-only dependency, which the library never imports
     monkeypatch.setitem(sys.modules, "mpmath", None)
     assert spectral.resolving_efficiency("TDCCS-T6", 1e-4).e > 0
     with contextlib.redirect_stdout(io.StringIO()):

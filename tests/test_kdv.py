@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dispersive_compact import kdv, spectral
+from dispersive_compact import exact, kdv, spectral
 from dispersive_compact.kdv import DualGridFunction
 from dispersive_compact.operators import DENSE_LIMIT, FilterOperator, filter_by_name
 from dispersive_compact.timeint import DivergenceError
@@ -29,6 +29,14 @@ def test_preset_fields():
     k = 0.5 * math.sqrt(0.3 / 5e-4)
     assert p.params["k"] == pytest.approx(k)
     assert p.initial(np.array([0.5]))[0] == pytest.approx(0.9)
+
+
+def test_presets_flux_is_one_coefficient():
+    # g(u) = kappa*u^2: linear transport, the soliton's -3u^2, Burgers' u^2/2
+    kappas = {name: kdv.make_problem(name).kappa for name in kdv.preset_names()}
+    assert kappas == {"linear": 0.0, "soliton": -3.0, "single_soliton": 0.5,
+                      "double_soliton": 0.5, "triple_soliton": 0.5,
+                      "dispersion_limit": 0.5, "tophat": 0.5}
 
 
 def test_unknown_preset():
@@ -89,6 +97,22 @@ def test_zero_t_final_returns_sampled_ic():
     assert np.allclose(
         r.state.center_values, p.initial(d.nodes() + d.h / 2), rtol=1e-13
     )
+
+
+def test_zero_length_run_is_validated_like_any_other():
+    p = kdv.make_problem("soliton")
+    d = kdv.Discretization("TDCNCS", 32, p.length, p.x_lo)
+    with pytest.raises(ValueError, match="unknown dt rule"):
+        kdv.integrate(p, d, kdv.RunConfig(dt_rule="bogus", t_final=0.0))
+    with pytest.raises(exact.UnknownSchemeError, match="F99"):
+        kdv.integrate(p, d, kdv.RunConfig(
+            t_final=0.0, filter=kdv.FilterConfig("F99", 0.9, 20)))
+    r = kdv.integrate(p, d, kdv.RunConfig(t_final=0.0, record_every=5))
+    assert (r.n_steps, r.dt, r.t_final) == (0, 0.0, 0.0)
+    # the t = 0 sample, as every other run's history starts
+    assert len(r.history) == 1 and r.history[0][0] == 0.0
+    assert np.array_equal(r.history[0][1], p.initial(d.nodes()))
+    assert r.mass_final == r.mass_initial
 
 
 def test_dual_centers_sampled_not_interpolated():
@@ -206,7 +230,7 @@ def test_history_recording():
     assert r.history[0][0] == 0.0
 
 
-def test_convergence_report_rates_and_serialization(tmp_path):
+def test_convergence_report_rates_and_serialization():
     report = kdv.ConvergenceReport(
         problem_id="linear", scheme_id="TDCNCS-T8",
         ns=[10, 20], errors=[(2.56e-3, 1e-3, 1e-3), (1e-5, 1e-5, 1e-5)],
@@ -214,17 +238,12 @@ def test_convergence_report_rates_and_serialization(tmp_path):
     rates = report.rates()
     assert rates[0] == (None, None, None)
     assert rates[1][0] == pytest.approx(math.log(256.0) / math.log(2.0))
-    csv_path = tmp_path / "r.csv"
-    report.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "N,Linf,L1,L2,rate_inf,rate_1,rate_2"
-    assert lines[1].endswith(",,,")  # first row has empty rate cells
-    json_path = tmp_path / "r.json"
-    report.to_json(json_path)
-    import json
-    doc = json.loads(json_path.read_text())
+    rows = list(report.rows())
+    assert rows[0] == [10, 2.56e-3, 1e-3, 1e-3, None, None, None]
+    assert rows[1][:4] == [20, 1e-5, 1e-5, 1e-5]
+    doc = report.to_json_dict()
     assert doc["scheme"] == "TDCNCS-T8"
-    assert len(doc["rows"]) == 2
+    assert doc["rows"] == [dict(zip(report.CSV_HEADER, row)) for row in rows]
 
 
 def test_convergence_study_serial_parallel_agree(monkeypatch):
@@ -242,29 +261,6 @@ def test_convergence_study_serial_parallel_agree(monkeypatch):
 def test_convergence_study_requires_increasing_ns():
     with pytest.raises(ValueError):
         kdv.convergence_study("linear", "TDCNCS", [20, 10], kdv.RunConfig())
-
-
-def test_snapshot_csv(tmp_path):
-    p = kdv.make_problem("linear", c=1.0)
-    d = kdv.Discretization("TDCNCS", 16, p.length, p.x_lo)
-    r = kdv.integrate(p, d, kdv.RunConfig(t_final=0.01))
-    path = tmp_path / "snap.csv"
-    kdv.snapshot_to_csv(path, r)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,u_numeric,u_exact,abs_error"
-    assert len(lines) == 17
-
-
-def test_dual_snapshot_csv_writes_the_node_values(tmp_path):
-    p = kdv.make_problem("linear", c=1.0)
-    d = kdv.Discretization("TDCCS", 16, p.length, p.x_lo)
-    r = kdv.integrate(p, d, kdv.RunConfig(t_final=0.01))
-    path = tmp_path / "snap.csv"
-    kdv.snapshot_to_csv(path, r)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert len(rows) == 16
-    assert [row[0] for row in rows] == [f"{v:.12g}" for v in d.nodes()]
-    assert [row[1] for row in rows] == [f"{v:.12g}" for v in r.state.node_values]
 
 
 def test_unknown_family():
@@ -313,8 +309,8 @@ def _oracle_state(problem, disc, config):
 
     def rate(v):
         r = -problem.epsilon * third(v)
-        if problem.g_tag != "zero":
-            r = r - first(problem.g_flux(v))
+        if problem.kappa != 0.0:
+            r = r - first(problem.kappa * v * v)
         return r
 
     filt = None

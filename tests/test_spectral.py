@@ -5,8 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mp_oracle import direct_sum, psi_mp
 
-from dispersive_compact import exact, spectral
+from dispersive_compact import cli, exact, spectral
 from dispersive_compact.banded import SingularOperatorError
 from dispersive_compact.operators import filter_by_name
 
@@ -144,19 +145,13 @@ def test_analysis_ids_cover_composed_families():
         assert sid in ids or sid.replace("-TE", "") in ids
 
 
-def test_spectrum_csv(tmp_path):
-    path = tmp_path / "spec.csv"
-    spectral.write_spectrum_csv(path, "TDCNCS-T8", samples=50)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == spectral.SPECTRUM_HEADER
-    assert len(lines) > 40
-
-
 @pytest.mark.parametrize("samples", [1, 0, -3])
-def test_spectrum_csv_refuses_fewer_than_two_samples(samples, tmp_path):
+def test_spectrum_csv_refuses_fewer_than_two_samples(samples, tmp_path, capsys):
     path = tmp_path / "spec.csv"
-    with pytest.raises(ValueError, match="samples must be >= 2"):
-        spectral.write_spectrum_csv(path, "TDCNCS-T8", samples=samples)
+    argv = ["spectrum", "--scheme", "TDCNCS-T8", "--samples", str(samples),
+            "--out", str(path)]
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --samples must be >= 2, got {samples}\n"
     assert not path.exists()
 
 
@@ -170,7 +165,7 @@ def test_float_psi_matches_mpmath_oracle():
         for sid in ids:
             sym = spectral.scheme_symbol(sid)
             for w, p in zip(omega, sym.psi(omega)):
-                ref = sym.psi_mp(w)
+                ref = psi_mp(sym, w)
                 worst = max(worst, float(abs(float(p) - ref) / max(1, abs(ref))))
     assert worst <= 1e-12
 
@@ -180,14 +175,8 @@ def test_float_transfer_matches_mpmath_oracle():
     sym = spectral.scheme_symbol("CI-P10")
     omega = np.linspace(0.5, 3.0, 26)
     with mp.workdps(50):
-        def q(x):
-            return mp.mpf(x.numerator) / x.denominator
-
         for w, t in zip(omega, sym.transfer_function(omega)):
-            wm = mp.mpf(w)
-            num = sum(2 * q(c) * mp.cos(m * wm / 2) for m, c in sym.taps if m > 0)
-            den = 1 + 2 * q(sym.alpha) * mp.cos(wm) + 2 * q(sym.beta) * mp.cos(2 * wm)
-            ref = num / den
+            ref = psi_mp(sym, w)
             assert abs(float(t) - ref) <= 1e-12 * max(1, abs(ref))
 
 
@@ -199,15 +188,12 @@ def test_filter_transfer_keeps_relative_precision_to_pi(name, alpha_f):
     spec = filter_by_name(name, alpha_f)
     omega = np.concatenate([np.linspace(0.0, np.pi, 400),
                             np.pi - np.geomspace(1e-1, 1e-8, 20)])
+    # a_0 + sum a_n cos(n w), as taps a_0 at 0 and a_n/2 at h/2 offset 2n
+    taps = [(2 * n, a / 2 if n else a) for n, a in enumerate(spec.a_exact)]
     alpha = Fraction(str(alpha_f))
     with mp.workdps(50):
-        def q(x):
-            return mp.mpf(x.numerator) / x.denominator
-
         for w, t in zip(omega, spec.transfer(omega)):
-            wm = mp.mpf(w)
-            num = sum(q(a) * mp.cos(n * wm) for n, a in enumerate(spec.a_exact))
-            ref = num / (1 + 2 * q(alpha) * mp.cos(wm))
+            ref = direct_sum(taps, alpha, 0, 0, w)
             assert abs(t - ref) <= 1e-12 * abs(ref), (w, t, ref)
 
 
@@ -227,7 +213,7 @@ def test_float_psi_keeps_relative_precision_near_zeros():
             if sym.grid_kind == "dual":
                 omega = np.concatenate([log_grid, fine_modes])
             for w, p in zip(omega, sym.psi(omega)):
-                ref = sym.psi_mp(w)
+                ref = psi_mp(sym, w)
                 err = float(abs(p - ref) / abs(ref))
                 if err > worst[0]:
                     worst = (err, sid, w)
