@@ -6,6 +6,7 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,25 @@ def test_spectrum_csv(tmp_path):
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "omega,psi,omega_cubed,R"
+
+
+def test_spectrum_library_and_cli_write_the_same_table(tmp_path, capsys):
+    # the table rebuilt from the library's symbol; TDCNCS-T4's denominator
+    # vanishes at w = pi, which the grid leaves out
+    omega = np.linspace(0.0, np.pi, 64, endpoint=False)[1:]
+    psi = spectral.modified_wavenumber("TDCNCS-T4", omega)
+    lib = "omega,psi,omega_cubed,R\r\n" + "".join(
+        f"{w:.10g},{p:.12e},{w ** 3:.12e},{p / w ** 3:.12e}\r\n"
+        for w, p in zip(omega, psi))
+    out = tmp_path / "cli.csv"
+    args = ("spectrum", "--scheme", "TDCNCS-T4", "--samples", "64")
+    assert run_cli(*args, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == lib.encode()
+    capsys.readouterr()
+    assert run_cli(*args) == EXIT_OK
+    assert capsys.readouterr().out == lib
+    rows = lib.strip().splitlines()[1:]
+    assert len(rows) == 63 and float(rows[-1].split(",")[0]) < 3.14
 
 
 # The files under tests/golden/ are byte-for-byte outputs of the commands

@@ -145,6 +145,16 @@ def test_analysis_ids_cover_composed_families():
         assert sid in ids or sid.replace("-TE", "") in ids
 
 
+def test_spectrum_csv(tmp_path):
+    path = tmp_path / "spec.csv"
+    argv = ["spectrum", "--scheme", "TDCNCS-T8", "--samples", "50",
+            "--out", str(path)]
+    assert cli.dispatch(argv) == cli.EXIT_OK
+    lines = path.read_text().strip().splitlines()
+    assert lines[0].split(",") == ["omega", "psi", "omega_cubed", "R"]
+    assert len(lines) > 40
+
+
 @pytest.mark.parametrize("samples", [1, 0, -3])
 def test_spectrum_csv_refuses_fewer_than_two_samples(samples, tmp_path, capsys):
     path = tmp_path / "spec.csv"
