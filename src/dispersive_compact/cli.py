@@ -111,8 +111,6 @@ def build_parser() -> _Parser:
                    help="comma list, e.g. 10,20,30,40")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", help="also write the report as JSON here")
-    p.add_argument("--serial", action="store_const", const=True,
-                   help="disable per-N parallelism")
 
     return parser
 
@@ -153,11 +151,10 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
             )
         for key, val in file_cfg.items():
             flag = flags[key]
-            if (val is None and flag.default is not None
-                    or flag.nargs == 0 and val not in (None, True, False)):
+            if val is None and flag.default is not None:
                 raise UsageError(
                     f"config key {key} cannot be {json.dumps(val)}")
-            if val is not None and flag.nargs != 0:
+            if val is not None:
                 # as text, argparse converts or refuses a default as it would
                 # the same text on the command line; it checks no choices there
                 file_cfg[key] = val = str(val)
@@ -168,12 +165,6 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
         command.set_defaults(**file_cfg)
         args = parser.parse_args(argv)
     return args, {k: v for k, v in vars(args).items() if k not in _META}
-
-
-def dump_config(cfg: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _output(path):
@@ -374,9 +365,7 @@ def _cmd_converge(cfg) -> int:
     # process starts; each worker builds its own copy
     _make_problem(cfg)
     report = kdv.convergence_study(
-        cfg["example"], family, ns, _run_config(cfg),
-        params=_problem_params(cfg), parallel=not cfg["serial"],
-    )
+        cfg["example"], family, ns, _run_config(cfg), _problem_params(cfg))
     rows = [["" if v is None else (v if isinstance(v, int) else f"{v:.6e}")
              for v in row] for row in report.rows()]
     _write_rows(cfg["out"], report.CSV_HEADER, rows)
@@ -405,7 +394,7 @@ def dispatch(argv=None) -> int:
             parser.print_help()
             return EXIT_USAGE
         if args.dump_config:
-            dump_config(cfg, args.dump_config)
+            _write_json(args.dump_config, dict(sorted(cfg.items())))
             return EXIT_OK
         return _HANDLERS[args.command](cfg)
     except UsageError as err:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 F = Fraction
 
@@ -132,14 +132,6 @@ class SchemeCoefficients:
         for name, value in self.as_dict().items():
             out[name] = {"num": str(value.numerator), "den": str(value.denominator)}
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SchemeCoefficients":
-        vals = {
-            k: Fraction(int(data[k]["num"]), int(data[k]["den"]))
-            for k in ("a", "b", "c", "alpha", "beta")
-        }
-        return cls(family=data["family"], formal_order=int(data["order"]), **vals)
 
 
 @dataclass(frozen=True)
@@ -532,7 +524,6 @@ _CATALOGUE.update(_table("CI", _CI_ROWS))
 _CATALOGUE.update(_table("TDCCS", _TDCCS_ROWS))
 
 # coefficients not printed anywhere: derived on first use and cached
-_DERIVED_FAMILIES = ("TDCCS-1", "TDCCS-2", "TDCCS-3", "CNCS", "CCS")
 _DERIVED_VARIANTS = {
     "TDCCS-1": ("T4", "T6", "T8", "P10"),
     "TDCCS-2": ("T4", "T6", "T8", "P10"),
@@ -564,8 +555,8 @@ def split_scheme_id(scheme_id: str) -> tuple[str, str]:
 
 def catalogued_scheme_ids() -> list[str]:
     ids = sorted(_CATALOGUE)
-    for family in _DERIVED_FAMILIES:
-        ids.extend(f"{family}-{v}" for v in _DERIVED_VARIANTS[family])
+    for family, variants in _DERIVED_VARIANTS.items():
+        ids.extend(f"{family}-{v}" for v in variants)
     return ids
 
 
@@ -579,7 +570,7 @@ def builtin_scheme(scheme_id: str) -> tuple[SchemeTemplate, SchemeCoefficients]:
     if name in _CATALOGUE:
         return template, _CATALOGUE[name]
     if name not in _derived_cache:
-        if family not in _DERIVED_FAMILIES or variant not in _DERIVED_VARIANTS[family]:
+        if variant not in _DERIVED_VARIANTS.get(family, ()):
             raise UnknownSchemeError(scheme_id)
         zero, order = VARIANT_CONSTRAINTS[variant]
         _derived_cache[name] = derive_coefficients(template, zero, order, family=name)

@@ -10,7 +10,7 @@ import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class KdvProblem:
     initial: object  # x -> u0(x)
     exact: object | None  # (x, t) -> u, or None
     t_final: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
@@ -72,7 +71,6 @@ def _linear(c=1.0):
         initial=lambda x: np.sin(c * x),
         exact=lambda x, t: np.sin(c * (x + t)),
         t_final=1.0,
-        params={"c": c},
     )
 
 
@@ -99,7 +97,6 @@ def _single_soliton(c=0.3, eps=5e-4, x0=0.5):
         initial=lambda x: 3.0 * c * _sech(k * (x - x0)) ** 2,
         exact=lambda x, t: 3.0 * c * _sech(k * (x - x0 - c * t)) ** 2,
         t_final=3.0,
-        params={"c": c, "eps": eps, "x0": x0, "k": k},
     )
 
 
@@ -117,7 +114,6 @@ def _double_soliton(c1=0.3, c2=0.1, x1=0.4, x2=0.8, eps=4.84e-4):
                            + 3.0 * c2 * _sech(k2 * (x - x2)) ** 2),
         exact=None,
         t_final=4.0,
-        params={"c1": c1, "c2": c2, "x1": x1, "x2": x2, "eps": eps},
     )
 
 
@@ -131,7 +127,6 @@ def _triple_soliton(eps=1e-4):
         initial=lambda x: (2.0 / 3.0) * _sech((x - 1.0) / math.sqrt(108.0 * eps)) ** 2,
         exact=None,
         t_final=4.0,
-        params={"eps": eps},
     )
 
 
@@ -145,7 +140,6 @@ def _dispersion_limit(eps=1e-4):
         initial=lambda x: 2.0 + 0.5 * np.sin(2.0 * np.pi * x),
         exact=None,
         t_final=0.5,
-        params={"eps": eps},
     )
 
 
@@ -159,7 +153,6 @@ def _tophat(eps=1e-4):
         initial=lambda x: np.where((x > 0.25) & (x < 4.0), 1.0, 0.0),
         exact=None,
         t_final=0.05,
-        params={"eps": eps},
     )
 
 
@@ -542,8 +535,10 @@ def max_workers() -> int:
 
 
 def convergence_study(preset: str, family: str, ns: list[int],
-                      config: RunConfig, params: dict | None = None,
-                      parallel: bool = True) -> ConvergenceReport:
+                      config: RunConfig,
+                      params: dict | None = None) -> ConvergenceReport:
+    """Errors per N, each N run in a pool of up to ``max_workers()``
+    processes; with one worker, or one N, the runs stay in this process."""
     if not ns:
         raise ValueError("Ns must list at least one N")
     if list(ns) != sorted(set(ns)):
@@ -551,7 +546,7 @@ def convergence_study(preset: str, family: str, ns: list[int],
     params = dict(params or {})
     jobs = [(preset, params, family, n, config) for n in ns]
     workers = min(max_workers(), len(jobs))
-    if parallel and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(_study_worker, jobs))
     else:

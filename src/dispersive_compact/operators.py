@@ -10,7 +10,7 @@ update is the same stencil applied one fine point over.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +63,6 @@ class CompactOperator:
 
     def __init__(self, scheme_id: str, n: int, h: float):
         template, coeffs = exact.builtin_scheme(scheme_id)
-        template.validate()
         if n < template.max_offset:
             raise ValueError(
                 f"N={n} too small for stencil half-width {template.max_offset} (h/2 units)"
@@ -156,13 +155,8 @@ class FilterSpec:
     """Tridiagonal low-pass filter: transfer T(0)=1 and T(pi)=0 by construction."""
 
     alpha_f: float
-    a_coeffs: tuple[float, ...]  # a_0 ... a_N
     order: int
-    a_exact: tuple[Fraction, ...] = field(default=(), compare=False)
-
-    @property
-    def half_width(self) -> int:
-        return len(self.a_coeffs) - 1
+    a_exact: tuple[Fraction, ...]  # a_0 ... a_N, N = order/2
 
     @functools.cached_property
     def symbol(self) -> SchemeSymbol:
@@ -172,9 +166,9 @@ class FilterSpec:
         a = self.a_exact
         half = [(2 * n, a_n / 2) for n, a_n in enumerate(a) if n]
         taps = tuple(sorted([(0, a[0]), *half, *((-off, w) for off, w in half)]))
-        return SchemeSymbol(scheme_id=f"F{self.order}", derivative_order=0,
-                            grid_kind="node_only", taps=taps,
-                            alpha=(sum(a) - 1) / 2, beta=Fraction(0))
+        return SchemeSymbol(derivative_order=0, grid_kind="node_only",
+                            taps=taps, alpha=(sum(a) - 1) / 2,
+                            beta=Fraction(0))
 
     def transfer(self, omega) -> np.ndarray:
         return self.symbol.transfer_function(omega)
@@ -203,7 +197,6 @@ def derive_filter(n_half_width: int, alpha_f: float) -> FilterSpec:
     a_exact = exact._solve_exact(rows, rhs)
     return FilterSpec(
         alpha_f=float(alpha_f),
-        a_coeffs=tuple(float(a) for a in a_exact),
         order=2 * nh,
         a_exact=tuple(a_exact),
     )
@@ -225,8 +218,8 @@ class FilterOperator(CompactOperator):
     that its node and center sequences are each filtered on their own."""
 
     def __init__(self, spec: FilterSpec, n: int, grid_kind: str = "node_only"):
-        if n < 2 * spec.half_width + 1:
-            raise ValueError(f"N={n} too small for filter width {spec.half_width}")
+        if n < spec.order + 1:
+            raise ValueError(f"N={n} too small for filter width {spec.order // 2}")
         taps = [(off, float(w)) for off, w in spec.symbol.taps]
         # the scale h^0 is 1 for any h
         self._init_circulant(taps, spec.alpha_f, 0.0, 0, grid_kind, n, 1.0)

@@ -102,7 +102,6 @@ def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
 class SchemeSymbol:
     """Fourier symbol of a scheme (optionally CI-composed) or of a filter."""
 
-    scheme_id: str
     derivative_order: int
     grid_kind: str
     taps: tuple[tuple[int, Fraction], ...]
@@ -186,9 +185,8 @@ def _divide_out(poly, root):
         poly, j = quotient[-2::-1], j + 1
 
 
-def _symbol_from_parts(scheme_id, template, coeffs, transfer=None) -> SchemeSymbol:
+def _symbol_from_parts(template, coeffs, transfer=None) -> SchemeSymbol:
     return SchemeSymbol(
-        scheme_id=scheme_id,
         derivative_order=template.derivative_order,
         grid_kind=template.grid_kind,
         taps=template.flat_taps(coeffs),
@@ -218,11 +216,6 @@ _LS_FAMILIES = {
 _symbol_cache: dict[str, SchemeSymbol] = {}
 
 
-def _ci_transfer_symbol() -> SchemeSymbol:
-    template, coeffs = exact.builtin_scheme("CI-P10")
-    return _symbol_from_parts("CI-P10", template, coeffs)
-
-
 def scheme_symbol(scheme_id: str) -> SchemeSymbol:
     """Resolve any catalogued / derived / CI / LS scheme id to its symbol."""
     if scheme_id in _symbol_cache:
@@ -231,16 +224,15 @@ def scheme_symbol(scheme_id: str) -> SchemeSymbol:
     if family in _CI_FAMILIES:
         base_id = f"{_CI_FAMILIES[family]}-{variant}"
         template, coeffs = exact.builtin_scheme(base_id)
-        sym = _symbol_from_parts(
-            scheme_id, template, coeffs, transfer=_ci_transfer_symbol()
-        )
+        sym = _symbol_from_parts(template, coeffs,
+                                 transfer=scheme_symbol("CI-P10"))
     elif family in _LS_FAMILIES:
         coeffs = ls_optimize(_LS_FAMILIES[family], variant)
         template = exact.family_template(_LS_FAMILIES[family])
-        sym = _symbol_from_parts(scheme_id, template, coeffs)
+        sym = _symbol_from_parts(template, coeffs)
     else:
         template, coeffs = exact.builtin_scheme(scheme_id)
-        sym = _symbol_from_parts(scheme_id, template, coeffs)
+        sym = _symbol_from_parts(template, coeffs)
     _symbol_cache[scheme_id] = sym
     return sym
 
@@ -282,7 +274,6 @@ class EfficiencyResult:
 
     omega_f: float
     e: float
-    eps_t: float
 
 
 def resolving_efficiency(scheme_id: str, eps_t: float,
@@ -331,7 +322,7 @@ def resolving_efficiency(scheme_id: str, eps_t: float,
         if within.size:
             k = within[-1]
             wf = np.pi if k == samples - 1 else refine(float(omega[k]), float(omega[k + 1]))
-    return EfficiencyResult(omega_f=wf, e=wf / np.pi, eps_t=eps_t)
+    return EfficiencyResult(omega_f=wf, e=wf / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +359,15 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8",
     and beta for the pentadiagonal variant) tied to them by the retained
     low-order accuracy conditions.
     """
+    if family not in _LS_FAMILIES.values():
+        raise ValueError(f"LS optimization takes the families "
+                         f"{', '.join(_LS_FAMILIES.values())}; got {family!r}")
     if not (0.0 < r <= 1.0):
         raise ValueError("r must be in (0, 1]")
     key = (family, variant, r)
     if key in _ls_cache:
         return _ls_cache[key]
     template = exact.family_template(family)
-    if template.derivative_order != 3:
-        raise ValueError("LS optimization targets third-derivative schemes")
     try:
         zero, _order = exact.VARIANT_CONSTRAINTS[variant]
     except KeyError:
@@ -434,7 +426,7 @@ def ls_misfit(family: str, coeffs: exact.SchemeCoefficients, r: float = 1.0,
     """E of Eq-form int_0^{r pi} (psi - w^3)^2 D^2 dw for given coefficients."""
     template = exact.family_template(family)
     omega, wq = _quadrature(r, quad_points)
-    sym = _symbol_from_parts("tmp", template, coeffs)
+    sym = _symbol_from_parts(template, coeffs)
     d = template.derivative_order
     den = lhs_symbol(float(coeffs.alpha), float(coeffs.beta), omega)
     resid = (sym.psi(omega) - omega ** d) * den

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersive_compact import spectral
+from dispersive_compact import kdv, spectral
 from dispersive_compact.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -24,6 +24,12 @@ from dispersive_compact.cli import (
 
 def run_cli(*argv):
     return dispatch(list(argv))
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    # convergence studies run their N in this process
+    monkeypatch.setenv(kdv.THREADS_ENV, "1")
 
 
 def test_no_command_is_usage_error(capsys):
@@ -85,9 +91,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPECTRUM_ARGV = ("spectrum", "--scheme", "TDCNCS-T4", "--samples", "64")
 CONVERGE_ARGV = ("converge", "--example", "soliton", "--scheme", "tdcncs",
                  "--Ns", "20,40", "--dt-rule", "fixed", "--dt", "1e-3",
-                 "--t-final", "0.01", "--serial")
+                 "--t-final", "0.01")
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("argv, golden", [
     (SPECTRUM_ARGV, "spectrum_TDCNCS-T4_64.csv"),
     (CONVERGE_ARGV, "converge_soliton.csv"),
@@ -103,6 +110,7 @@ def test_table_is_the_pinned_bytes_in_a_file_and_on_stdout(argv, golden,
     assert capsys.readouterr().out == want.decode()
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_converge_json_is_the_pinned_bytes(tmp_path):
     # the first row's rates are empty CSV cells and JSON nulls
     out, doc = tmp_path / "c.csv", tmp_path / "c.json"
@@ -209,6 +217,15 @@ def test_ls_optimize_json(tmp_path):
     assert doc["family"].startswith("TDCCS-LS")
 
 
+@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS-TE", "CI"])
+def test_ls_optimize_refuses_other_families_naming_the_four(family, capsys):
+    assert run_cli("ls-optimize", "--family", family,
+                   "--variant", "T8") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "TDCCS, TDCCS-1, TDCCS-2, TDCCS-3" in err
+
+
 def test_run_summary(tmp_path):
     out = tmp_path / "sum.json"
     snap = tmp_path / "snap.csv"
@@ -239,9 +256,10 @@ def test_run_divergence_is_numerical_failure(tmp_path, capsys):
     ("run", "--example", "linear", "--c", "1", "--N", "10", "--t-final",
      "0.01", "--out", "{tmp}/s.json", "--snapshot", "{missing}/snap.csv"),
     ("converge", "--example", "linear", "--c", "1", "--Ns", "10,12",
-     "--t-final", "0.01", "--serial", "--out", "{tmp}/c.csv",
+     "--t-final", "0.01", "--out", "{tmp}/c.csv",
      "--json", "{missing}/c.json"),
 ])
+@pytest.mark.usefixtures("one_worker")
 def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
     assert run_cli(*argv) == EXIT_USAGE
@@ -261,20 +279,23 @@ def test_bad_run_config_is_usage_error(flags, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("serial", [("--serial",), ()])
-def test_converge_bad_preset_parameter_is_usage_error(serial, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_converge_bad_preset_parameter_is_usage_error(threads, monkeypatch,
+                                                      capsys):
     # the soliton preset takes no eps; rejected before any worker starts
+    monkeypatch.setenv(kdv.THREADS_ENV, threads)
     code = run_cli("converge", "--example", "soliton", "--eps", "0",
-                   "--Ns", "10,20", *serial)
+                   "--Ns", "10,20")
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "soliton" in err
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_converge_csv(tmp_path):
     out = tmp_path / "conv.csv"
     code = run_cli("converge", "--example", "linear", "--c", "1", "--scheme",
-                   "tdcncs", "--Ns", "10,20", "--serial", "--out", str(out))
+                   "tdcncs", "--Ns", "10,20", "--out", str(out))
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,Linf,L1,L2,rate_inf,rate_1,rate_2"
@@ -282,10 +303,11 @@ def test_converge_csv(tmp_path):
     assert abs(rate - 8.0) < 0.4
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_converge_stdout_matches_out_file(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     args = ("converge", "--example", "linear", "--c", "1", "--scheme",
-            "tdcncs", "--Ns", "10,20", "--serial")
+            "tdcncs", "--Ns", "10,20")
     assert run_cli(*args, "--out", str(out)) == EXIT_OK
     capsys.readouterr()
     assert run_cli(*args) == EXIT_OK
@@ -302,6 +324,16 @@ def test_single_valued_options_are_gone(argv, key, tmp_path, capsys):
     cfg.write_text(json.dumps({key: None}))
     assert run_cli(argv[0], "--config", str(cfg)) == EXIT_USAGE
     assert f"unknown config key(s) {key}" in capsys.readouterr().err
+
+
+def test_serial_is_not_an_option(tmp_path, capsys):
+    # DISPERSIVE_COMPACT_THREADS=1 is what runs a convergence study serially
+    assert run_cli("converge", "--serial") == EXIT_USAGE
+    assert "unrecognized arguments: --serial" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"serial": True}))
+    assert run_cli("converge", "--config", str(cfg)) == EXIT_USAGE
+    assert "unknown config key(s) serial" in capsys.readouterr().err
 
 
 def test_seed_is_not_an_option(tmp_path, capsys):
@@ -372,8 +404,7 @@ GOLDEN_DEFAULTS = {
     "ls-optimize": {"family": "TDCCS", "variant": "T8", "r": 1.0,
                     "format": "text", "out": None},
     "run": {**_EXPERIMENT_DEFAULTS, "n": 100, "snapshot": None},
-    "converge": {**_EXPERIMENT_DEFAULTS, "ns": "10,20,30,40", "json": None,
-                 "serial": None},
+    "converge": {**_EXPERIMENT_DEFAULTS, "ns": "10,20,30,40", "json": None},
 }
 
 
@@ -398,7 +429,6 @@ def test_dump_config_writes_each_default(command, tmp_path):
     ("stability", {"n": None}),
     ("spectrum", {"samples": None}),
     ("run", {"dt_rule": None, "t_final": 1e-3}),
-    ("converge", {"serial": "no", "ns": "8", "t_final": 1e-3}),
 ])
 def test_bad_config_value_is_one_line_usage_error(command, doc, tmp_path,
                                                   capsys):
@@ -437,7 +467,7 @@ def test_bad_flag_value_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("run", "--N", "0"),
-    ("converge", "--Ns", "0,10", "--serial"),
+    ("converge", "--Ns", "0,10"),
     ("converge", "--Ns", ","),
     ("run", "--example", "linear", "--c", "0"),
     ("run", "--example", "linear", "--c", "1e-320"),
@@ -464,6 +494,7 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("run", "--example", "linear", "--N", "20", "--t-final", "0.01",
      "--dt-rule", "half_h2", "--cfl", "5"),
 ])
+@pytest.mark.usefixtures("one_worker")
 def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
     assert run_cli(*argv) == EXIT_USAGE
     out, err = capsys.readouterr()
@@ -511,7 +542,7 @@ def _experiment_argv(draw, command, examples):
     for flag in flags:
         pool = HOSTILE_POOLS[flag] if flag in hostile else VALID[flag]
         argv += [flag, draw(st.sampled_from(pool))]
-    return argv + (["--serial"] if command == "converge" else [])
+    return argv
 
 
 def test_spectral_commands_run_without_mpmath(monkeypatch):
@@ -528,6 +559,8 @@ def _dispatch_quietly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), (argv, code)
+    # a flag the parser refuses would stop every draw before it runs
+    assert "unrecognized arguments" not in err.getvalue(), argv
     if code != EXIT_OK:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)
@@ -543,4 +576,7 @@ def test_run_fuzz_never_raises(argv):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(argv=_experiment_argv("converge", ("linear", "soliton", "single_soliton")))
 def test_converge_fuzz_never_raises(argv):
-    _dispatch_quietly(argv)
+    # hypothesis refuses function-scoped fixtures such as monkeypatch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(kdv.THREADS_ENV, "1")
+        _dispatch_quietly(argv)
