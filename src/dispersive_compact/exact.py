@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Sequence
 
 F = Fraction
@@ -175,6 +176,25 @@ def _rhs_taylor_coeff(template: SchemeTemplate, degree: int) -> dict[str, Fracti
     return out
 
 
+# template -> {degree: read-only (lhs, rhs) Taylor coefficients}; a caller
+# fetches its template's dict once, since a template hashes all its Fractions
+_taylor_cache: dict[SchemeTemplate, dict[int, tuple]] = {}
+
+
+def _taylor_rows(template: SchemeTemplate):
+    """degree -> (lhs, rhs) of one template, each row summed once per
+    process."""
+    rows = _taylor_cache.setdefault(template, {})
+
+    def row(degree: int):
+        if degree not in rows:
+            rows[degree] = (MappingProxyType(_lhs_taylor_coeff(template, degree)),
+                            MappingProxyType(_rhs_taylor_coeff(template, degree)))
+        return rows[degree]
+
+    return row
+
+
 def order_conditions(
     template: SchemeTemplate, max_order: int
 ) -> list[dict[str, Fraction]]:
@@ -188,10 +208,10 @@ def order_conditions(
     if max_order < 0 or max_order % 2 != 0:
         raise ValueError("max_order must be even and non-negative")
     d = template.derivative_order
+    row = _taylor_rows(template)
     conditions: list[dict[str, Fraction]] = []
     for degree in range(0, d + max_order - 1):
-        lhs = _lhs_taylor_coeff(template, degree)
-        rhs = _rhs_taylor_coeff(template, degree)
+        lhs, rhs = row(degree)
         if (degree - d) % 2 == 1:
             # wrong parity: both sides must vanish identically
             if any(v != 0 for v in lhs.values()) or any(v != 0 for v in rhs.values()):
@@ -271,8 +291,9 @@ def leading_truncation_error(
     d = template.derivative_order
     values = coeffs.as_dict()
     degree = d + coeffs.formal_order
+    row = _taylor_rows(template)
     for _ in range(16):
-        eq = order_conditions_single(template, degree)
+        eq = _condition(*row(degree))
         residual = eq["const"] + sum(eq[u] * values[u] for u in ALL_UNKNOWNS)
         if residual != 0:
             return TruncationLead(
@@ -288,8 +309,7 @@ def order_conditions_single(
     template: SchemeTemplate, degree: int
 ) -> dict[str, Fraction]:
     """The single linear constraint arising from one Taylor degree."""
-    return _condition(_lhs_taylor_coeff(template, degree),
-                      _rhs_taylor_coeff(template, degree))
+    return _condition(*_taylor_rows(template)(degree))
 
 
 def _condition(lhs, rhs) -> dict[str, Fraction]:

@@ -528,10 +528,18 @@ def _study_worker(args):
 
 
 def max_workers() -> int:
+    """The worker cap: ``DISPERSIVE_COMPACT_THREADS``, an integer >= 1, or
+    the CPU count when unset or empty."""
     env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1; got {env!r}")
+    return workers
 
 
 def convergence_study(preset: str, family: str, ns: list[int],

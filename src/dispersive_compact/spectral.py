@@ -134,31 +134,43 @@ class SchemeSymbol:
             powers.append(k_num - k_den)
         return powers, np.array(num, dtype=float), np.array(den, dtype=float)
 
-    def _float(self, omega):
+    def _evaluate(self, trig):
+        """psi or T from the ``_trig`` factors of w, times the CI transfer,
+        which reads the same factors."""
+        factors, sine = trig
         powers, num, den = self._factored
-        # y - r for r = 0, 1, 2, each accurate near its own zero
-        factors = (2.0 * np.sin(omega / 4.0) ** 2, -np.cos(omega / 2.0),
-                   -2.0 * np.cos(omega / 4.0) ** 2)
         out = polyval(factors[0], num) / polyval(factors[0], den)
         for factor, k in zip(factors, powers):
-            out = out * factor ** k
+            if k:  # x * 1 = x exactly
+                out = out * factor ** k
         if self.derivative_order % 2 == 1:
-            out = out * np.sin(omega / 2.0)
+            out = out * sine
         if self.transfer is not None:
-            out = out * self.transfer._float(omega)
+            out = out * self.transfer._evaluate(trig)
         return out
+
+    def _require_odd(self):
+        if self.derivative_order % 2 == 0:
+            raise ValueError("psi is defined for odd derivative orders")
 
     def psi(self, omega):
         """Scaled modified wavenumber psi(w); w may exceed pi for fine modes."""
-        if self.derivative_order % 2 == 0:
-            raise ValueError("psi is defined for odd derivative orders")
-        return self._float(np.asarray(omega, dtype=float))
+        self._require_odd()
+        return self._evaluate(_trig(np.asarray(omega, dtype=float)))
 
     def transfer_function(self, omega):
         """Real per-mode amplitude T(w) of an interpolation or filter (d = 0)."""
         if self.derivative_order != 0:
             raise ValueError("transfer function requires derivative order 0")
-        return self._float(np.asarray(omega, dtype=float))
+        return self._evaluate(_trig(np.asarray(omega, dtype=float)))
+
+
+def _trig(omega):
+    """((y, y - 1, y - 2), sin(w/2)) with y = 1 - cos(w/2): all the
+    transcendental work of a symbol at w, each y - r accurate near its own
+    zero."""
+    return ((2.0 * np.sin(omega / 4.0) ** 2, -np.cos(omega / 2.0),
+             -2.0 * np.cos(omega / 4.0) ** 2), np.sin(omega / 2.0))
 
 
 def _chebyshev_in_y(first, count):
@@ -268,6 +280,23 @@ def relative_factor(scheme_id: str, omega):
     return out[0] if scalar else out
 
 
+# midpoint grid of the efficiency scan: avoids w = pi exactly, where
+# T4-type denominators vanish
+_SCAN_SAMPLES = 20000
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_grid(d: int):
+    """(w, w^d, _trig(w)) on the scan grid, built once per process and read-
+    only, since every later scan shares them."""
+    omega = (np.arange(1, _SCAN_SAMPLES + 1) - 0.5) * np.pi / _SCAN_SAMPLES
+    omega_d = omega ** d
+    trig = _trig(omega)
+    for a in (omega, omega_d, *trig[0], trig[1]):
+        a.flags.writeable = False
+    return omega, omega_d, trig
+
+
 @dataclass(frozen=True)
 class EfficiencyResult:
     """Shortest well-resolved wavenumber and the efficiency e = w_f/pi."""
@@ -292,6 +321,7 @@ def resolving_efficiency(scheme_id: str, eps_t: float,
     if mode not in ("band_edge", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     sym = scheme_symbol(scheme_id)
+    sym._require_odd()  # before the scan, which does not call psi
     d = sym.derivative_order
 
     def err(w):
@@ -307,21 +337,21 @@ def resolving_efficiency(scheme_id: str, eps_t: float,
                 lo = mid
         return lo
 
-    # midpoint grid: avoids w = pi exactly, where T4-type denominators vanish
-    samples = 20000
-    omega = (np.arange(1, samples + 1) - 0.5) * np.pi / samples
+    omega, omega_d, trig = _scan_grid(d)
+    scan = np.abs(sym._evaluate(trig) - omega_d) / omega_d
     if mode == "strict":
-        beyond = np.nonzero(err(omega) > eps_t)[0]
+        beyond = np.nonzero(scan > eps_t)[0]
         wf = np.pi
         if beyond.size:
             k = beyond[0]
             wf = refine(float(omega[max(k - 1, 0)]), float(omega[k]))
     else:
-        within = np.nonzero(err(omega) <= eps_t)[0]
+        within = np.nonzero(scan <= eps_t)[0]
         wf = float(omega[0])
         if within.size:
             k = within[-1]
-            wf = np.pi if k == samples - 1 else refine(float(omega[k]), float(omega[k + 1]))
+            wf = (np.pi if k == _SCAN_SAMPLES - 1
+                  else refine(float(omega[k]), float(omega[k + 1])))
     return EfficiencyResult(omega_f=wf, e=wf / np.pi)
 
 

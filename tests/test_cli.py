@@ -291,6 +291,18 @@ def test_converge_bad_preset_parameter_is_usage_error(threads, monkeypatch,
     assert err.startswith("error:") and "soliton" in err
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_converge_bad_thread_count_is_one_line_usage_error(threads,
+                                                          monkeypatch, capsys):
+    monkeypatch.setenv(kdv.THREADS_ENV, threads)
+    code = run_cli("converge", "--example", "linear", "--c", "1",
+                   "--Ns", "10,20", "--t-final", "0.01")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert kdv.THREADS_ENV in err
+
+
 @pytest.mark.usefixtures("one_worker")
 def test_converge_csv(tmp_path):
     out = tmp_path / "conv.csv"

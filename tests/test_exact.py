@@ -66,6 +66,23 @@ def test_derivation_reproduces_catalogue_exactly():
         assert derived.as_dict() == tabulated.as_dict(), scheme_id
 
 
+def test_mutating_returned_conditions_leaves_derivation_exact():
+    # the Taylor rows are cached per template; what callers get is theirs
+    leads = {sid: exact.leading_truncation_error(*exact.builtin_scheme(sid))
+             for sid in exact.catalogued_scheme_ids()}
+    for template in set(exact._FAMILY_TEMPLATES.values()):
+        conditions = exact.order_conditions(template, 12)
+        conditions += [exact.order_conditions_single(template, degree)
+                       for degree in range(24)]
+        for eq in conditions:
+            for key in eq:
+                eq[key] += 1
+            eq["extra"] = F(7)
+    test_derivation_reproduces_catalogue_exactly()
+    for sid, lead in leads.items():
+        assert exact.leading_truncation_error(*exact.builtin_scheme(sid)) == lead
+
+
 def test_te_alias_resolves_to_taylor_row():
     _, via_alias = exact.builtin_scheme("TDCCS-TE-T8")
     _, direct = exact.builtin_scheme("TDCCS-T8")

@@ -134,6 +134,42 @@ def test_stability_refuses_even_derivative_orders():
         spectral.spectral_radius("CI-T8", 64)
 
 
+@pytest.mark.parametrize("mode", ["band_edge", "strict"])
+@pytest.mark.parametrize("eps_t", [1e-3, 1e-12])
+def test_efficiency_refuses_even_derivative_orders(eps_t, mode):
+    # refused before the scan, which evaluates the symbol without psi
+    with pytest.raises(ValueError, match="odd derivative orders"):
+        spectral.resolving_efficiency("CI-T8", eps_t, mode=mode)
+
+
+def test_efficiency_scan_on_the_cached_grid_is_psi_on_a_fresh_grid():
+    ids = [sid for sid in spectral.analysis_scheme_ids()
+           if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
+    assert len(ids) == 87
+    fresh = (np.arange(1, 20001) - 0.5) * np.pi / 20000
+    for sid in ids:
+        sym = spectral.scheme_symbol(sid)
+        d = sym.derivative_order
+        omega, omega_d, trig = spectral._scan_grid(d)
+        assert not omega.flags.writeable and not omega_d.flags.writeable
+        assert np.array_equal(omega, fresh)
+        assert np.array_equal(omega_d, fresh.copy() ** d)
+        assert np.array_equal(sym._evaluate(trig), sym.psi(fresh.copy())), sid
+
+
+def test_ci_psi_is_base_psi_times_the_p10_transfer_bit_for_bit():
+    ids = [sid for sid in spectral.analysis_scheme_ids()
+           if exact.split_scheme_id(sid)[0] in spectral._CI_FAMILIES]
+    assert len(ids) == 29
+    omega = np.linspace(1e-3, 2 * np.pi - 1e-3, 501)
+    transfer = spectral.scheme_symbol("CI-P10").transfer_function(omega)
+    for sid in ids:
+        family, variant = exact.split_scheme_id(sid)
+        base = spectral.scheme_symbol(f"{spectral._CI_FAMILIES[family]}-{variant}")
+        want = base.psi(omega) * transfer
+        assert np.array_equal(spectral.modified_wavenumber(sid, omega), want), sid
+
+
 def test_unknown_scheme_id():
     with pytest.raises(exact.UnknownSchemeError):
         spectral.scheme_symbol("TDCCS-XX-T8")
