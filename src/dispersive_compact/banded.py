@@ -4,12 +4,23 @@ The implicit left-hand side of every catalogued compact scheme is a symmetric
 circulant band (beta, alpha, 1, alpha, beta).  Cyclic systems are solved as a
 truncated band plus a low-rank corner correction (Woodbury), so each solve
 costs O(n).  A dense LU path is provided as a test oracle.
+
+scipy supplies only the band factorization: LAPACK is imported when the first
+band is factored, which KdV ``run`` and ``converge`` do while building their
+operators.  The spectral analysis (``check_invertible`` and everything in
+``spectral``) needs numpy alone, so the analysis commands never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+
+# Circulants of up to DENSE_LIMIT points are applied by a dense matrix that
+# ``operators`` builds from this solver's solves (the crossover is measured
+# there).  Larger solvers flush the subnormal tails of their corner columns;
+# at dense-path sizes that would move the dense matrices' bits.
+DENSE_LIMIT = 384
+_TINY = np.finfo(float).tiny
 
 
 class SingularOperatorError(ValueError):
@@ -67,11 +78,15 @@ class CyclicBandedSolver:
             else:
                 ab[p - off, :off] = val
         self._ab = ab
+        from scipy.linalg import lapack  # only factored bands need LAPACK
+
         if p == 1:
             *factor, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            self._trs = lapack.dgttrs
         else:
             # dgbtrf keeps p extra superdiagonal rows for the row interchanges
             *factor, info = lapack.dgbtrf(np.vstack((np.zeros((p, n)), ab)), p, p)
+            self._trs = lapack.dgbtrs
         if info != 0:
             raise SingularOperatorError(
                 f"truncated band is singular (info={info}) for alpha={alpha}, beta={beta}"
@@ -95,6 +110,10 @@ class CyclicBandedSolver:
                     vt[k, j] += val
         g = self._band_solve(u)
         cap = np.eye(len(rows)) + vt @ g
+        if n > DENSE_LIMIT:
+            # g decays geometrically away from the corners; its subnormal
+            # tail adds nothing to a solve but makes ``g @ w`` ~10x slower
+            g[np.abs(g) < _TINY] = 0.0
         self._g = g
         self._vt = vt
         self._cap_inv = np.linalg.inv(cap)
@@ -102,9 +121,9 @@ class CyclicBandedSolver:
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the truncated band by the stored factor; rhs is copied."""
         if self.bandwidth == 1:
-            return lapack.dgttrs(*self._factor, rhs)[0]
+            return self._trs(*self._factor, rhs)[0]
         lu, ipiv = self._factor
-        return lapack.dgbtrs(lu, 2, 2, rhs, ipiv)[0]
+        return self._trs(lu, 2, 2, rhs, ipiv)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (n,) or (n, k)."""

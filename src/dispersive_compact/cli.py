@@ -235,6 +235,8 @@ def _cmd_efficiency(cfg) -> int:
                if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
     else:
         ids = [s.strip() for s in cfg["schemes"].split(",") if s.strip()]
+        if not ids:
+            raise UsageError(f"--schemes names no scheme: {cfg['schemes']!r}")
     rows = []
     for sid in ids:
         res = spectral.resolving_efficiency(sid, cfg["eps"], cfg["mode"])

@@ -9,7 +9,6 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -555,6 +554,9 @@ def convergence_study(preset: str, family: str, ns: list[int],
     jobs = [(preset, params, family, n, config) for n in ns]
     workers = min(max_workers(), len(jobs))
     if workers > 1:
+        # multiprocessing is loaded only by the runs that use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(_study_worker, jobs))
     else:

@@ -16,11 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .banded import CyclicBandedSolver
+from .banded import DENSE_LIMIT, CyclicBandedSolver
 from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 
-# Circulant sizes up to DENSE_LIMIT apply a cached dense matrix.  Measured on
+# Circulant sizes up to DENSE_LIMIT (384, declared in ``banded``, whose larger
+# solvers flush subnormals) apply a cached dense matrix.  Measured on
 # a 2-vCPU x86-64 VM with one BLAS thread, dense matvec vs FFT apply: 8.8 vs
 # 14.2 us at 240, 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs
 # 46 us at 2048 (a rerun had them cross between 240 and 320).  Near the limit
@@ -40,7 +41,6 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 # The FFT also won at the 13-smooth sizes 400, 1001, 4225 and 4400.  So
 # ``matvec`` uses the FFT at sizes whose prime factors are all <= 13 and the
 # banded solve at the others.
-DENSE_LIMIT = 384
 
 
 def _fft_is_fast(size: int) -> bool:
@@ -180,8 +180,8 @@ def derive_filter(n_half_width: int, alpha_f: float) -> FilterSpec:
     Taylor matching of degrees 0, 2, ..., 2N-2 plus annihilation of the
     Nyquist mode; solved exactly (alpha_f is taken as an exact rational).
     """
-    if abs(alpha_f) >= 0.5:
-        raise ValueError("|alpha_f| must be < 0.5")
+    if not abs(alpha_f) < 0.5:  # NaN too
+        raise ValueError(f"|alpha_f| must be < 0.5, got {alpha_f}")
     if n_half_width < 1:
         raise ValueError("half width must be >= 1")
     nh = n_half_width

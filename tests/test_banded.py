@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from dispersive_compact.banded import (
+    DENSE_LIMIT,
     CyclicBandedSolver,
     SingularOperatorError,
     check_invertible,
@@ -127,10 +128,22 @@ def test_solve_then_multiply_recovers_rhs(n, alpha, seed):
     assert np.max(np.abs(back - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
-@pytest.mark.parametrize("alpha,beta", [
+def _flushed(g, n):
+    """The corner columns as the solver keeps them: above DENSE_LIMIT, with
+    their subnormal entries set to zero."""
+    if n > DENSE_LIMIT:
+        g = np.where(np.abs(g) < np.finfo(float).tiny, 0.0, g)
+    return g
+
+
+# the bands of TDCNCS-T8, CNCS-T8, TDCCS-T8 and CCS-T8, and two more
+CATALOGUED_BANDS = [
     (205 / 472, 0.0), (-1261 / 3530, 0.0), (0.375, 0.0), (0.4, 0.0),
-    (799 / 2739, -557 / 5478), (10 / 21, 5 / 126), (0.45, 0.06),
-])
+    (799 / 2739, -557 / 5478), (10 / 21, 5 / 126),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", [*CATALOGUED_BANDS, (0.45, 0.06)])
 def test_factored_solve_is_bit_identical_to_solve_banded(alpha, beta):
     # the dense operator bits the acceptance tables rest on were built by
     # scipy's solve_banded; the stored LAPACK factor must reproduce them
@@ -145,8 +158,8 @@ def test_factored_solve_is_bit_identical_to_solve_banded(alpha, beta):
             return y - solver._g @ (solver._cap_inv @ (solver._vt @ y))
 
         rows = [*range(p), *range(n - p, n)]  # the corner rows of the _g build
-        assert np.array_equal(solver._g,
-                              solve_banded((p, p), ab, np.eye(n)[:, rows]))
+        assert np.array_equal(solver._g, _flushed(
+            solve_banded((p, p), ab, np.eye(n)[:, rows]), n))
         cases = [rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
                  for _ in range(20)]
         cases += [np.eye(n)[:, j] for j in {0, 1, n // 2, n - 1}]
@@ -156,3 +169,30 @@ def test_factored_solve_is_bit_identical_to_solve_banded(alpha, beta):
             assert np.array_equal(solver.solve(b), oracle(b)), n
             assert np.array_equal(b, before)
         assert np.array_equal(solver._ab, ab)
+
+
+@pytest.mark.parametrize("alpha,beta", CATALOGUED_BANDS)
+def test_flushing_subnormal_corner_columns_keeps_the_solve_bits(alpha, beta):
+    # the flushed entries lie far below one ulp of any solution entry that a
+    # generic right-hand side produces; at n = 4097 TDCNCS-T8 has 2858 of them
+    rng = np.random.default_rng(5)
+    for n in (2049, 4097):
+        solver = CyclicBandedSolver(n, alpha, beta)
+        p = solver.bandwidth
+        rows = [*range(p), *range(n - p, n)]
+        g = solve_banded((p, p), solver._ab, np.eye(n)[:, rows])
+        assert np.count_nonzero(g) > np.count_nonzero(solver._g)
+        for _ in range(10):
+            b = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
+            y = solve_banded((p, p), solver._ab, b)
+            assert np.array_equal(solver.solve(b),
+                                  y - g @ (solver._cap_inv @ (solver._vt @ y)))
+
+
+
+def test_dense_path_solvers_keep_their_subnormal_corner_columns():
+    # dense matrices are built from unit vectors, whose solves do reach the
+    # subnormal tail: TDCCS-T4's band (alpha = 1/14) at the largest dense size
+    solver = CyclicBandedSolver(DENSE_LIMIT, 1 / 14)
+    tiny = np.abs(solver._g) < np.finfo(float).tiny
+    assert np.any(tiny & (solver._g != 0.0))

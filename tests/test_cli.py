@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dispersive_compact
 from dispersive_compact import kdv, spectral
 from dispersive_compact.cli import (
     EXIT_NUMERICAL,
@@ -154,7 +157,59 @@ def test_zero_length_run_is_validated_like_any_other(capsys):
         assert run_cli("run", "--example", "soliton", "--N", "32", "--t-final",
                        t_final, "--filter", "F12:0.7:20") == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: |alpha_f| must be < 0.5\n"
+        assert out == "" and err == "error: |alpha_f| must be < 0.5, got 0.7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("filter-analyze", "--alpha-f", "nan"),
+    ("run", "--example", "soliton", "--N", "32", "--t-final", "0",
+     "--filter", "F12:nan:20"),
+])
+def test_nan_filter_strength_gets_the_filter_message(argv, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: |alpha_f| must be < 0.5, got nan\n")
+
+
+@pytest.mark.parametrize("schemes", ["", ",", " , "])
+def test_efficiency_without_a_scheme_is_usage_error(schemes, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert run_cli("efficiency", "--schemes", schemes,
+                   "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: --schemes names no scheme: {schemes!r}\n")
+    assert not out.exists()
+
+
+# one call of each analysis command, for a fresh interpreter to run
+ANALYSIS_ARGV = [
+    ["coeffs", "--scheme", "TDCNCS-T8", "--format", "json"],
+    ["spectrum", "--scheme", "TDCCS-T6", "--samples", "8"],
+    ["efficiency", "--schemes", "TDCNCS-T8,TDCCS-T6"],
+    ["stability", "--scheme", "TDCCS-T8", "--n", "64"],
+    ["ls-optimize", "--family", "TDCCS", "--variant", "T8"],
+    ["filter-analyze", "--samples", "8"],
+]
+
+
+def test_analysis_commands_never_load_lapack():
+    # a fresh interpreter, since this one has loaded scipy.linalg already;
+    # the first band factorization must load it, or the check proves nothing
+    script = f"""
+import sys
+import dispersive_compact
+from dispersive_compact import cli
+for argv in {ANALYSIS_ARGV!r}:
+    assert cli.dispatch(argv) == 0, argv
+assert "scipy.linalg" not in sys.modules, "loaded by the analysis"
+dispersive_compact.Discretization("TDCNCS", 20, 1.0)
+assert "scipy.linalg" in sys.modules, "not loaded by a band factorization"
+"""
+    src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_efficiency_csv(tmp_path):

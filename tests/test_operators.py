@@ -186,6 +186,12 @@ def test_filter_alpha_range_enforced():
         derive_filter(4, 0.5)
 
 
+@pytest.mark.parametrize("alpha_f", [0.5, -0.5, float("inf"), float("nan")])
+def test_filter_alpha_range_names_the_value(alpha_f):
+    with pytest.raises(ValueError, match=rf"^\|alpha_f\| must be < 0\.5, got {alpha_f}$"):
+        derive_filter(4, alpha_f)
+
+
 def test_unknown_filter_name():
     with pytest.raises(exact.UnknownSchemeError):
         filter_by_name("F99", 0.4)
