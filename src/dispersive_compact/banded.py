@@ -20,7 +20,6 @@ import numpy as np
 # there).  Larger solvers flush the subnormal tails of their corner columns;
 # at dense-path sizes that would move the dense matrices' bits.
 DENSE_LIMIT = 384
-_TINY = np.finfo(float).tiny
 
 
 class SingularOperatorError(ValueError):
@@ -113,7 +112,7 @@ class CyclicBandedSolver:
         if n > DENSE_LIMIT:
             # g decays geometrically away from the corners; its subnormal
             # tail adds nothing to a solve but makes ``g @ w`` ~10x slower
-            g[np.abs(g) < _TINY] = 0.0
+            g[np.abs(g) < np.finfo(float).tiny] = 0.0
         self._g = g
         self._vt = vt
         self._cap_inv = np.linalg.inv(cap)
