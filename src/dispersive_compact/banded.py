@@ -5,21 +5,69 @@ circulant band (beta, alpha, 1, alpha, beta).  Cyclic systems are solved as a
 truncated band plus a low-rank corner correction (Woodbury), so each solve
 costs O(n).  A dense LU path is provided as a test oracle.
 
-scipy supplies only the band factorization: LAPACK is imported when the first
-band is factored, which KdV ``run`` and ``converge`` do while building their
-operators.  The spectral analysis (``check_invertible`` and everything in
-``spectral``) needs numpy alone, so the analysis commands never load it.
+scipy supplies only LAPACK's band routines, imported on first use.  A
+tridiagonal band of at most DENSE_LIMIT points is factored in Python by
+``dgttrf``'s recurrence and swept for a matrix right-hand side in numpy, so
+the dense-path KdV runs (paper sizes) never load scipy.  LAPACK factors the
+larger and the pentadiagonal bands, at construction, and solves every vector
+right-hand side.  The spectral analysis (``check_invertible`` and everything
+in ``spectral``) needs numpy alone.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 # Circulants of up to DENSE_LIMIT points are applied by a dense matrix that
 # ``operators`` builds from this solver's solves (the crossover is measured
-# there).  Larger solvers flush the subnormal tails of their corner columns;
-# at dense-path sizes that would move the dense matrices' bits.
+# there).  Tridiagonal solvers of up to DENSE_LIMIT points factor and sweep
+# in numpy; larger solvers flush the subnormal tails of their corner columns,
+# which at dense-path sizes would move the dense matrices' bits.
 DENSE_LIMIT = 384
+
+
+@functools.cache
+def _lapack():
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def _gttrf(n: int, alpha: float) -> tuple:
+    """``dgttrf``'s factor of the band (alpha, 1, alpha), by its recurrence.
+    |alpha| < 1/2 keeps every pivot above |alpha|, so ``dgttrf`` never
+    interchanges rows: the multipliers and pivots are its bits, ``du2`` is
+    zero and ``ipiv`` (1-based) is the identity."""
+    d = [1.0] * n
+    dl = [alpha] * (n - 1)
+    for i in range(n - 1):
+        dl[i] = alpha / d[i]
+        d[i + 1] = d[i + 1] - dl[i] * alpha
+    return (np.array(dl), np.array(d), np.full(n - 1, alpha), np.zeros(n - 2),
+            np.arange(1, n + 1, dtype=np.int32))
+
+
+def _gtts2(dl, d, du, du2, ipiv, rhs: np.ndarray) -> np.ndarray:
+    """``dgtts2``'s two sweeps without interchanges, over the rows of a
+    matrix right-hand side: each column gets the bits ``dgttrs`` gives it,
+    returned in Fortran order as ``dgttrs`` returns them."""
+    b = np.array(rhs, dtype=float)
+    dl, d, du, du2 = dl.tolist(), d.tolist(), du.tolist(), du2.tolist()
+    rows, n = list(b), len(d)
+    for i in range(n - 1):
+        rows[i + 1] -= dl[i] * rows[i]
+    rows[n - 1] /= d[n - 1]
+    rows[n - 2] -= du[n - 2] * rows[n - 1]
+    rows[n - 2] /= d[n - 2]
+    for i in range(n - 3, -1, -1):
+        row = rows[i]
+        row -= du[i] * rows[i + 1]
+        # du2 is zero, but its product still rounds signed zeros and NaNs
+        row -= du2[i] * rows[i + 2]
+        row /= d[i]
+    return np.asfortranarray(b)
 
 
 class SingularOperatorError(ValueError):
@@ -46,13 +94,14 @@ def check_invertible(alpha: float, beta: float, tol: float = 1e-10) -> None:
 class CyclicBandedSolver:
     """Factorization of a cyclic (beta, alpha, 1, alpha, beta) band.
 
-    Factors the truncated band once by LAPACK (``dgttrf`` when tridiagonal,
-    ``dgbtrf`` when pentadiagonal) and precomputes the corner-correction
+    Factors the truncated band once (``dgttrf``'s factor when tridiagonal,
+    ``dgbtrf``'s when pentadiagonal) and precomputes the corner-correction
     data; ``solve`` is then one pair of triangular sweeps (``dgttrs`` /
-    ``dgbtrs``) plus a rank-2 (tridiagonal) or rank-4 (pentadiagonal)
-    correction.  The sweeps are the ones ``scipy.linalg.solve_banded`` runs,
-    so the results are the same bits.  Immutable after construction and safe
-    to share; ``solve`` never writes to its argument.
+    ``dgbtrs``, or their numpy form for a small band's matrix right-hand
+    side) plus a rank-2 (tridiagonal) or rank-4 (pentadiagonal) correction.
+    The sweeps are the ones ``scipy.linalg.solve_banded`` runs, so the results
+    are the same bits.  Immutable after construction and safe to share;
+    ``solve`` never writes to its argument.
     """
 
     def __init__(self, n: int, alpha: float, beta: float = 0.0):
@@ -77,20 +126,21 @@ class CyclicBandedSolver:
             else:
                 ab[p - off, :off] = val
         self._ab = ab
-        from scipy.linalg import lapack  # only factored bands need LAPACK
-
-        if p == 1:
-            *factor, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-            self._trs = lapack.dgttrs
+        if self._numpy_sweeps:
+            # check_invertible has left |alpha| < 1/2: no pivot can vanish
+            self._factor = _gttrf(n, self.alpha)
         else:
-            # dgbtrf keeps p extra superdiagonal rows for the row interchanges
-            *factor, info = lapack.dgbtrf(np.vstack((np.zeros((p, n)), ab)), p, p)
-            self._trs = lapack.dgbtrs
-        if info != 0:
-            raise SingularOperatorError(
-                f"truncated band is singular (info={info}) for alpha={alpha}, beta={beta}"
-            )
-        self._factor = tuple(factor)
+            if p == 1:
+                *factor, info = _lapack().dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            else:
+                # dgbtrf keeps p extra superdiagonal rows for the interchanges
+                *factor, info = _lapack().dgbtrf(
+                    np.vstack((np.zeros((p, n)), ab)), p, p)
+            if info != 0:
+                raise SingularOperatorError(
+                    f"truncated band is singular (info={info}) for alpha={alpha}, beta={beta}"
+                )
+            self._factor = tuple(factor)
 
         # wrap entries missing from the truncated band, as rank-2p correction
         corners = []
@@ -117,12 +167,24 @@ class CyclicBandedSolver:
         self._vt = vt
         self._cap_inv = np.linalg.inv(cap)
 
+    @property
+    def _numpy_sweeps(self) -> bool:
+        """Whether the band is factored, and swept for a matrix right-hand
+        side, in numpy."""
+        return self.bandwidth == 1 and self.n <= DENSE_LIMIT
+
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the truncated band by the stored factor; rhs is copied."""
-        if self.bandwidth == 1:
-            return self._trs(*self._factor, rhs)[0]
-        lu, ipiv = self._factor
-        return self._trs(lu, 2, 2, rhs, ipiv)[0]
+        if self.bandwidth == 2:
+            lu, ipiv = self._factor
+            return _lapack().dgbtrs(lu, 2, 2, rhs, ipiv)[0]
+        if rhs.ndim == 2 and self._numpy_sweeps:
+            return _gtts2(*self._factor, rhs)
+        return _lapack().dgttrs(*self._factor, rhs)[0]
+
+    def _correct(self, y: np.ndarray) -> np.ndarray:
+        """The corner correction of a band solve ``y``."""
+        return y - self._g @ (self._cap_inv @ (self._vt @ y))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (n,) or (n, k)."""
@@ -131,8 +193,19 @@ class CyclicBandedSolver:
             raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
         if self.bandwidth == 0:
             return rhs.copy()
-        y = self._band_solve(rhs)
-        return y - self._g @ (self._cap_inv @ (self._vt @ y))
+        return self._correct(self._band_solve(rhs))
+
+    def solve_columns(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A X = rhs for an (n, k) rhs, each column to the bits that
+        ``solve`` gives it alone.  A numpy-swept band solves the block in one
+        sweep and corrects it column by column: one matrix product over all
+        columns would round differently."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.n:
+            raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
+        if not self._numpy_sweeps:
+            return np.column_stack([self.solve(col) for col in rhs.T])
+        return np.column_stack([self._correct(y) for y in self._band_solve(rhs).T])
 
     def dense(self) -> np.ndarray:
         """Full matrix, for oracles and small-n construction."""

@@ -134,9 +134,36 @@ def load_config(path) -> dict:
 _META = ("command", "config", "dump_config")
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_dash_values(parser: _Parser, argv) -> list:
+    """argv with each ``--flag VALUE`` whose VALUE starts with '-' and reads
+    as a float written ``--flag=VALUE``.  argparse takes such a VALUE for an
+    option, unless it is a plain negative decimal, so ``--t-final -1e-3`` or
+    ``--alpha-f -inf`` would stop at "expected one argument"."""
+    takes_value = {s for command in parser.commands.values()
+                   for a in command._actions if a.nargs is None
+                   for s in a.option_strings}
+    out = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in takes_value and arg.startswith("-") \
+                and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
     """The parsed arguments and the command's settings: flag defaults,
     overridden by the --config file, overridden by explicit flags."""
+    argv = _attach_dash_values(parser, argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         command = parser.commands[args.command]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from dispersive_compact.banded import (
     DENSE_LIMIT,
@@ -191,3 +191,58 @@ def test_dense_path_solvers_keep_their_subnormal_corner_columns():
     solver = CyclicBandedSolver(DENSE_LIMIT, 1 / 14)
     tiny = np.abs(solver._g) < np.finfo(float).tiny
     assert np.any(tiny & (solver._g != 0.0))
+
+
+# below DENSE_LIMIT a tridiagonal band is factored by dgttrf's recurrence in
+# Python and swept for a matrix right-hand side in numpy: the catalogued
+# tridiagonal bands and the filter strengths -0.2 and 0.49
+SMALL_BANDS = [alpha for alpha, beta in CATALOGUED_BANDS if beta == 0.0]
+SMALL_BANDS += [-0.2, 0.49]
+
+
+@pytest.mark.parametrize("alpha", SMALL_BANDS)
+def test_small_tridiagonal_solver_has_the_lapack_bits(alpha):
+    rng = np.random.default_rng(23)
+    for n in (3, 8, 20, 192, DENSE_LIMIT):
+        solver = CyclicBandedSolver(n, alpha)
+        *factor, info = lapack.dgttrf(np.full(n - 1, alpha), np.ones(n),
+                                      np.full(n - 1, alpha))
+        assert info == 0
+        for got, want in zip(solver._factor, factor, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        def trs(b):
+            return lapack.dgttrs(*factor, b)[0]
+
+        # Fortran order, as dgttrs returns it: ``g @ w`` reaches BLAS through
+        # the transposition that the LAPACK-factored solver uses
+        g = trs(np.eye(n)[:, [0, n - 1]])
+        assert solver._g.flags.f_contiguous
+        assert solver._g.tobytes() == g.tobytes()
+        block = rng.normal(size=(n, 6))
+        block[:, 1] = -0.0
+        block[n // 2, 2] = -np.inf  # 0 * inf: the zero du2 term still counts
+        with np.errstate(invalid="ignore"):
+            swept = solver._band_solve(block)
+        assert swept.flags.f_contiguous
+        assert swept.tobytes() == trs(block).tobytes()
+        # vector solves go to dgttrs with the same factor
+        for _ in range(20):
+            b = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
+            y = trs(b)
+            want = y - g @ (solver._cap_inv @ (solver._vt @ y))
+            assert solver.solve(b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta", [*CATALOGUED_BANDS, (0.0, 0.0)])
+def test_solve_columns_is_solve_on_each_column(alpha, beta):
+    # one sweep of the block, then the corner correction column by column:
+    # one matrix product over all columns would round differently
+    rng = np.random.default_rng(29)
+    for n in (8, 150, DENSE_LIMIT, DENSE_LIMIT + 5):
+        solver = CyclicBandedSolver(n, alpha, beta)
+        block = rng.normal(size=(n, 9)) * 10.0 ** rng.uniform(-5, 4, size=9)
+        got = solver.solve_columns(block)
+        want = np.column_stack([solver.solve(col) for col in block.T])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), n

@@ -191,18 +191,28 @@ ANALYSIS_ARGV = [
 ]
 
 
-def test_analysis_commands_never_load_lapack():
-    # a fresh interpreter, since this one has loaded scipy.linalg already;
-    # the first band factorization must load it, or the check proves nothing
+def test_lapack_loads_only_for_a_banded_path_solver():
+    # a fresh interpreter, since this one has loaded scipy.linalg already.
+    # The analysis commands and the dense-path runs (a node run at N = 20, a
+    # filtered dual one at N = 40) must not load it; a band above the dense
+    # limit must, or the check proves nothing
     script = f"""
 import sys
-import dispersive_compact
-from dispersive_compact import cli
+from dispersive_compact import cli, kdv
 for argv in {ANALYSIS_ARGV!r}:
     assert cli.dispatch(argv) == 0, argv
 assert "scipy.linalg" not in sys.modules, "loaded by the analysis"
-dispersive_compact.Discretization("TDCNCS", 20, 1.0)
-assert "scipy.linalg" in sys.modules, "not loaded by a band factorization"
+problem = kdv.make_problem("linear", c=8.0)
+disc = kdv.Discretization("TDCNCS", 20, problem.length, problem.x_lo)
+kdv.integrate(problem, disc, kdv.RunConfig(t_final=0.01))
+problem = kdv.make_problem("triple_soliton")
+disc = kdv.Discretization("TDCCS", 40, problem.length, problem.x_lo)
+config = kdv.RunConfig(dt_rule="half_h2", t_final=0.01,
+                       filter=kdv.FilterConfig("F12", 0.4, 1))
+kdv.integrate(problem, disc, config)
+assert "scipy.linalg" not in sys.modules, "loaded by a dense-path run"
+kdv.Discretization("TDCNCS", 389, 1.0)
+assert "scipy.linalg" in sys.modules, "not loaded by a banded-path solver"
 """
     src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -210,6 +220,24 @@ assert "scipy.linalg" in sys.modules, "not loaded by a band factorization"
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--example", "linear", "--N", "20", "--t-final", "-inf"),
+     "t_final must be finite and non-negative, got -inf"),
+    (("run", "--example", "linear", "--N", "20", "--t-final", "-1e-3"),
+     "t_final must be finite and non-negative, got -0.001"),
+    (("filter-analyze", "--alpha-f", "-inf"),
+     "|alpha_f| must be < 0.5, got -inf"),
+])
+def test_negative_flag_value_reaches_the_flag_check(argv, message, capsys):
+    # argparse would take a value that starts with '-' and is not a plain
+    # negative decimal for an option; the '=' form must read the same
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    *flags, flag, value = argv
+    assert run_cli(*flags, f"{flag}={value}") == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_efficiency_csv(tmp_path):

@@ -95,6 +95,41 @@ def _invertible(scheme_id):
 KERNEL_IDS = [sid for sid in exact.catalogued_scheme_ids() if _invertible(sid)]
 
 
+# the catalogued operators with a tridiagonal band (or none), whose dense
+# matrices are built by the numpy sweeps of ``banded`` at dense-path sizes
+TRIDIAGONAL_IDS = [sid for sid in KERNEL_IDS
+                   if exact.builtin_scheme(sid)[1].beta == 0]
+DENSE_NS = (13, 20, 21, 40, 120, 150, 192)
+
+
+def _assert_dense_matrix_is_unit_vector_applies(op):
+    # byte for byte, so signed zeros count; C order, as matvec's BLAS call
+    # depends on the layout
+    eye = np.eye(op.size)
+    want = np.column_stack([op.apply_array(eye[:, j]) for j in range(op.size)])
+    got = op.dense_matrix()
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes(), op.n
+
+
+@pytest.mark.parametrize("scheme_id", TRIDIAGONAL_IDS)
+def test_dense_matrix_is_apply_array_on_unit_vectors(scheme_id):
+    for n in DENSE_NS:
+        _assert_dense_matrix_is_unit_vector_applies(
+            build_operator(scheme_id, n, 2 * np.pi / n))
+
+
+@pytest.mark.parametrize("name", ["F8", "F10", "F12"])
+@pytest.mark.parametrize("alpha_f", [0.4, -0.2, 0.49])
+@pytest.mark.parametrize("grid_kind", ["node_only", "dual"])
+def test_filter_dense_matrix_is_apply_array_on_unit_vectors(name, alpha_f,
+                                                            grid_kind):
+    spec = filter_by_name(name, alpha_f)
+    for n in DENSE_NS:
+        _assert_dense_matrix_is_unit_vector_applies(
+            FilterOperator(spec, n, grid_kind))
+
+
 def test_catalogued_singular_bands():
     # alpha = 1/2 vanishes at w = pi, alpha = -1/2 at w = 0
     singular = sorted(set(exact.catalogued_scheme_ids()) - set(KERNEL_IDS))
