@@ -305,13 +305,6 @@ def leading_truncation_error(
     raise DerivationError("no unmatched Taylor degree found")
 
 
-def order_conditions_single(
-    template: SchemeTemplate, degree: int
-) -> dict[str, Fraction]:
-    """The single linear constraint arising from one Taylor degree."""
-    return _condition(*_taylor_rows(template)(degree))
-
-
 def _condition(lhs, rhs) -> dict[str, Fraction]:
     """One degree's Taylor coefficients as sum(coef * unknown) + const = 0."""
     eq = {k: F(0) for k in ALL_UNKNOWNS}

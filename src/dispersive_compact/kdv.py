@@ -259,7 +259,6 @@ class Discretization:
         if self.d3_op.grid_kind != self.d1_op.grid_kind:
             raise ValueError("first/third derivative grid kinds disagree")
         self.dual = self.d3_op.grid_kind == "dual"
-        self._work = np.empty(self.d1_op.size)  # first(g(u)) inside semidiscrete_rhs
 
     def nodes(self) -> np.ndarray:
         return self.x_lo + self.h * np.arange(self.n)
@@ -289,16 +288,41 @@ class Discretization:
         return values[0::2] if self.dual else values
 
 
+def bind_rate(problem: KdvProblem, disc: Discretization):
+    """The rate  -(g(u))_x - eps * u_xxx  as ``rate(v, out)``, which writes it
+    into ``out`` and returns it.  The operators' apply paths, -eps and kappa
+    are looked up once, here, and the flux g(u) and its derivative have
+    buffers of their own, so a step's three rates make no Python call below
+    this one on the dense path.  Non-finite values are left to the time
+    stepper's check."""
+    third, neg_eps, multiply = disc.d3_op.apply, -problem.epsilon, np.multiply
+    if problem.kappa == 0.0:
+        # no flux: D1 is not applied, so its dense matrix is never built
+        def rate(v, out):
+            multiply(third(v, out), neg_eps, out)
+            return out
+
+        return rate
+
+    first, kappa, subtract = disc.d1_op.apply, problem.kappa, np.subtract
+    flux, d_flux = np.empty((2, disc.d1_op.size))
+
+    def rate(v, out):
+        multiply(third(v, out), neg_eps, out)
+        multiply(v, kappa, flux)
+        multiply(flux, v, flux)
+        subtract(out, first(flux, d_flux), out)
+        return out
+
+    return rate
+
+
 def semidiscrete_rhs(problem: KdvProblem, disc: Discretization,
                      values: np.ndarray, out=None) -> np.ndarray:
-    """Rate  -(g(u))_x - eps * u_xxx  on the discretization's value layout,
-    written into ``out`` when given.  Non-finite values are left to the
-    time stepper's check."""
-    rate = disc.third(values, out=out)
-    np.multiply(rate, -problem.epsilon, out=rate)
-    if problem.kappa != 0.0:
-        rate -= disc.first(problem.kappa * values * values, out=disc._work)
-    return rate
+    """``bind_rate``'s rate at ``values``, written into ``out`` when given."""
+    if out is None:
+        out = np.empty(np.shape(values), np.result_type(values, float))
+    return bind_rate(problem, disc)(values, out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +430,10 @@ def integrate(problem: KdvProblem, disc: Discretization,
     t_final = problem.t_final if config.t_final is None else float(config.t_final)
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    # a copy: the loop below steps it in place
-    values = np.array(disc.initial_state(problem), dtype=float)
+    # the loop steps the stepper's own row, in place
+    stepper = TvdRk3((disc.d3_op.size,))
+    values = stepper.u
+    values[...] = disc.initial_state(problem)
     mass0 = disc.h * float(np.sum(disc.node_values(values)))
     mass_scale = disc.h * float(np.sum(np.abs(disc.node_values(values))))
 
@@ -425,10 +451,7 @@ def integrate(problem: KdvProblem, disc: Discretization,
         spec = filter_by_name(config.filter.name, config.filter.alpha_f)
         filt = FilterOperator(spec, disc.n, disc.d3_op.grid_kind)
 
-    def rhs(v, out):
-        semidiscrete_rhs(problem, disc, v, out=out)
-
-    stepper = TvdRk3(values.shape)
+    rate = bind_rate(problem, disc)
     history = []
     if config.record_every:
         history.append((0.0, disc.node_values(values).copy()))
@@ -438,10 +461,10 @@ def integrate(problem: KdvProblem, disc: Discretization,
         # state, which the step's own check reports as a DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, n_steps + 1):
-                stepper.step(values, rhs, dt, step_index=step, time=t)
+                stepper.step(values, rate, dt, step_index=step, time=t)
                 t = step * dt
                 if filt is not None and step % config.filter.every == 0:
-                    filt.matvec(values, out=values)
+                    filt.apply(values, values)
                 if config.record_every and step % config.record_every == 0:
                     history.append((t, disc.node_values(values).copy()))
     except DivergenceError as err:

@@ -22,7 +22,8 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 # Circulant sizes up to DENSE_LIMIT (384, declared in ``banded``, which
 # factors the tridiagonal bands up to it in numpy and flushes subnormals in
-# larger solvers) apply a cached dense matrix.  Measured on
+# larger solvers) apply a cached dense matrix, by the matrix's own ``dot``
+# method: the BLAS call of ``np.dot`` without its dispatch.  Measured on
 # a 2-vCPU x86-64 VM with one BLAS thread, dense matvec vs FFT apply: 8.8 vs
 # 14.2 us at 240, 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs
 # 46 us at 2048 (a rerun had them cross between 240 and 320).  Near the limit
@@ -40,8 +41,9 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 #   FFT       62    149    307    249    662    516 |   18     34     74    162
 #
 # The FFT also won at the 13-smooth sizes 400, 1001, 4225 and 4400.  So
-# ``matvec`` uses the FFT at sizes whose prime factors are all <= 13 and the
-# banded solve at the others.
+# ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and the
+# banded solve at the others.  Each operator picks its path once, on its
+# first ``apply``; ``matvec`` is ``apply`` with ``out`` by keyword.
 
 
 def _fft_is_fast(size: int) -> bool:
@@ -119,25 +121,35 @@ class CompactOperator:
         out[1::2] = solve(rhs[1::2])
         return out
 
-    def apply_fft(self, values: np.ndarray) -> np.ndarray:
+    def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
         """Operator action on a raw array of ``size`` values by real FFT; agrees
-        with ``apply_array`` to round-off."""
-        return np.fft.irfft(self._half_symbol * np.fft.rfft(values), n=self.size)
+        with ``apply_array`` to round-off.  Written into ``out`` when given."""
+        return np.fft.irfft(self._half_symbol * np.fft.rfft(values),
+                            n=self.size, out=out)
 
-    def matvec(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Operator action on a raw array as time loops apply it: the cached
-        dense matrix for sizes up to DENSE_LIMIT; above, ``apply_fft`` at
+    @functools.cached_property
+    def apply(self):
+        """``apply(values, out=None)``, the operator action as time loops
+        apply it, by the path chosen for ``size`` on first use: the cached
+        dense matrix's own ``dot`` up to DENSE_LIMIT; above, ``apply_fft`` at
         sizes whose FFT is fast and ``apply_array`` at the others.  The
         result is written into ``out`` when given, which may be ``values``."""
         if self.size <= DENSE_LIMIT:
-            if self._dense is None:
-                self.dense_matrix()
-            return np.dot(self._dense, values, out=out)
-        apply = self.apply_fft if _fft_is_fast(self.size) else self.apply_array
-        if out is None:
-            return apply(values)
-        out[...] = apply(values)
-        return out
+            return self.dense_matrix().dot
+        if _fft_is_fast(self.size):
+            return self.apply_fft
+
+        def banded(values, out=None):
+            if out is None:
+                return self.apply_array(values)
+            out[...] = self.apply_array(values)
+            return out
+
+        return banded
+
+    def matvec(self, values: np.ndarray, out=None) -> np.ndarray:
+        """``apply``, with ``out`` by keyword."""
+        return self.apply(values, out)
 
     def dense_matrix(self) -> np.ndarray:
         """The full circulant A^{-1} B action, cached.  Column j has the bits

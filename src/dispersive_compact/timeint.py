@@ -1,6 +1,8 @@
-"""Three-stage TVD Runge-Kutta stepping and its linear stability region."""
+"""Three-stage TVD Runge-Kutta stepping and its linear amplification factor."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,38 +25,64 @@ class TvdRk3:
 
     ``rhs(v, out)`` writes the rate at ``v`` into ``out``.  A step evaluates
     u1 = u + dt S(u); u2 = (3/4 u + 1/4 u1) + (dt/4) S(u1);
-    u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order, and checks the
-    result once; only a non-finite result re-checks u1 and u2 to name the
-    stage.  A non-finite stage always reaches the result through its 1/4 or
-    2/3 weight.
+    u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order.
+
+    The stages are the rows of one buffer, ``stages`` = [u1, u, rate, u2], so
+    each of the two weighted sums takes its three products in one broadcast
+    multiply: stage 2 over rows 0:3, stage 3 over rows 1:4.  ``u`` is the
+    stepper's own row; a loop that steps it copies nothing, and any other
+    array is copied in and back out.
+
+    The result is checked by one reduction, u.u, which is non-finite whenever
+    an entry is; only then does ``np.isfinite`` look at the entries, which
+    clears a finite state whose sum of squares overflows, and re-check u1 and
+    u2 to name the stage.  A non-finite stage always reaches the result
+    through its 1/4 or 2/3 weight.
     """
 
     def __init__(self, shape, dtype=float):
-        self.u1 = np.empty(shape, dtype)
-        self.u2 = np.empty(shape, dtype)
-        self.rate = np.empty(shape, dtype)
-        self.scratch = np.empty(shape, dtype)
+        shape = np.broadcast_shapes(shape)
+        self.stages = np.empty((4, *shape), dtype)
+        products = np.empty((3, *shape), dtype)
+        # row views (0-d ones for a scalar state) and the two row blocks
+        rows = [a[i, ...] for a in (self.stages, products)
+                for i in range(len(a))]
+        self._views = (*rows, self.stages[:3], self.stages[1:], products)
+        self.u = rows[1]
+        self._flat = self.u.reshape(-1)
+        # per-row weights of stage 2 (rows 0:3) and stage 3 (rows 1:4); the
+        # dt entries are set by the first step of each dt
+        self._w2, self._w3 = np.empty((2, 3, *(1,) * len(shape)), dtype)
+        self._dt = None
 
     def step(self, u, rhs, dt, step_index=None, time=None) -> None:
         """Advance ``u`` by one step of size ``dt``, in place."""
-        u1, u2, r, s = self.u1, self.u2, self.rate, self.scratch
+        u1, own, r, u2, p0, p1, p2, head, tail, prod = self._views
         mul, add = np.multiply, np.add
-        rhs(u, r)
-        mul(r, dt, out=u1)
-        add(u, u1, out=u1)
+        if dt != self._dt:
+            self._dt = dt
+            self._w2.flat = (0.25, 0.75, 0.25 * dt)
+            self._w3.flat = (_THIRD, _TWO_THIRDS * dt, _TWO_THIRDS)
+        if u is not own:
+            own[...] = u
+        rhs(own, r)
+        mul(r, dt, u1)
+        add(u1, own, u1)
         rhs(u1, r)
-        mul(u, 0.75, out=u2)
-        mul(u1, 0.25, out=s)
-        add(u2, s, out=u2)
-        mul(r, 0.25 * dt, out=r)
-        add(u2, r, out=u2)
+        mul(head, self._w2, prod)  # 1/4 u1, 3/4 u, dt/4 S(u1)
+        add(p1, p0, u2)
+        add(u2, p2, u2)
         rhs(u2, r)
-        mul(u, _THIRD, out=u)
-        mul(u2, _TWO_THIRDS, out=s)
-        add(u, s, out=u)
-        mul(r, _TWO_THIRDS * dt, out=r)
-        add(u, r, out=u)
-        if not np.isfinite(u).all():
+        mul(tail, self._w3, prod)  # 1/3 u, 2 dt/3 S(u2), 2/3 u2
+        add(p0, p2, own)
+        add(own, p1, own)
+        if u is not own:
+            u[...] = own
+        flat = self._flat
+        # abs takes a complex u.u to a real number that is non-finite when
+        # either part is (cmath would cost loading a shared library)
+        if (not math.isfinite(abs(flat.dot(flat)))
+                and not np.isfinite(own).all()):
             stage = 1 if not np.isfinite(u1).all() else (
                 2 if not np.isfinite(u2).all() else 3)
             raise DivergenceError(
@@ -76,7 +104,10 @@ def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
     def rhs(v, out):
         out[...] = rhs_fn(v)
 
-    TvdRk3(u.shape, u.dtype).step(u, rhs, dt, step_index, time)
+    # an overflow leaves inf in the state, which the step reports; only the
+    # check's own u.u can overflow on a finite state
+    with np.errstate(over="ignore"):
+        TvdRk3(u.shape, u.dtype).step(u, rhs, dt, step_index, time)
     return u
 
 
@@ -84,8 +115,3 @@ def rk3_amplification(z):
     """Linear amplification factor of the scheme: 1 + z + z^2/2 + z^3/6."""
     z = np.asarray(z, dtype=complex)
     return 1.0 + z + z * z / 2.0 + z * z * z / 6.0
-
-
-def rk3_stability_contains(z) -> bool:
-    """Whether z lies in the stability region |1 + z + z^2/2 + z^3/6| <= 1."""
-    return bool(np.abs(rk3_amplification(z)) <= 1.0)

@@ -7,6 +7,12 @@ import pytest
 from dispersive_compact import exact
 
 
+def order_conditions_single(template, degree):
+    """The single linear constraint arising from one Taylor degree, through
+    the same cached rows as ``exact.order_conditions``."""
+    return exact._condition(*exact._taylor_rows(template)(degree))
+
+
 def test_template_validation_rejects_bad_parity():
     with pytest.raises(exact.TemplateError):
         exact.SchemeTemplate(
@@ -72,7 +78,7 @@ def test_mutating_returned_conditions_leaves_derivation_exact():
              for sid in exact.catalogued_scheme_ids()}
     for template in set(exact._FAMILY_TEMPLATES.values()):
         conditions = exact.order_conditions(template, 12)
-        conditions += [exact.order_conditions_single(template, degree)
+        conditions += [order_conditions_single(template, degree)
                        for degree in range(24)]
         for eq in conditions:
             for key in eq:

@@ -348,6 +348,11 @@ def _dispersion_limit_10_steps(n):
     ("triple_soliton", {}, "TDCCS", 200, kdv.RunConfig(
         dt_rule="half_h2", t_final=0.002,
         filter=kdv.FilterConfig("F12", 0.4, 3))),
+    # banded paths: sizes 389 (prime) and 386 = 2 * 193
+    ("dispersion_limit", {}, "TDCNCS", 389, _dispersion_limit_10_steps(389)),
+    ("dispersion_limit", {}, "TDCCS", 193, _dispersion_limit_10_steps(193)),
+    # a node-only FFT path with a flux: size 400 = 2^4 * 5^2
+    ("dispersion_limit", {}, "TDCNCS", 400, _dispersion_limit_10_steps(400)),
 ])
 def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     problem = kdv.make_problem(preset, **params)
@@ -356,6 +361,14 @@ def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     state = result.state
     got = state.fine() if isinstance(state, DualGridFunction) else state.values
     assert np.array_equal(got, _oracle_state(problem, disc, config))
+
+
+def test_a_run_without_a_flux_never_builds_the_first_derivative():
+    p = kdv.make_problem("linear", c=8.0)
+    d = kdv.Discretization("TDCNCS", 20, p.length)
+    kdv.integrate(p, d, kdv.RunConfig(t_final=0.001))
+    assert d.d3_op._dense is not None
+    assert d.d1_op._dense is None
 
 
 def test_divergence_reports_its_step():

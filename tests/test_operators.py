@@ -277,6 +277,22 @@ def test_matvec_takes_the_path_of_its_size(size, kind):
     assert op._dense is None
 
 
+@pytest.mark.parametrize("size", [40, 385, 389])
+def test_apply_picks_its_path_once_and_writes_into_out(size):
+    # dense, FFT and banded paths
+    op = build_operator("TDCNCS-T8", size, 2 * np.pi / size)
+    v = np.random.default_rng(size).normal(size=size)
+    apply = op.apply
+    assert op.apply is apply
+    if size <= DENSE_LIMIT:
+        assert apply.__self__ is op.dense_matrix()  # the matrix's own dot
+    want = op.matvec(v)
+    out = np.empty(size)
+    assert apply(v, out) is out
+    assert out.tobytes() == want.tobytes()
+    assert apply(v).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [32, 193, 200])
 def test_dual_filter_filters_each_parity_as_a_node_filter(n):
     # the node filter takes the dense path; the dual filter takes it at

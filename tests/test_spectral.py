@@ -71,7 +71,7 @@ def test_ls_preserves_retained_order_conditions():
     template = exact.family_template("TDCCS")
     values = ls.as_dict()
     # the low-order accuracy conditions kept as constraints must still hold
-    eq = exact.order_conditions_single(template, 3)
+    (eq,) = exact.order_conditions(template, 2)  # Taylor degree 3's
     residual = eq["const"] + sum(
         float(eq[u]) * float(values[u]) for u in exact.ALL_UNKNOWNS
     )

@@ -1,14 +1,21 @@
 """TVD-RK3 stepping and stability region."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from dispersive_compact.timeint import (
     DivergenceError,
+    TvdRk3,
     rk3_amplification,
-    rk3_stability_contains,
     tvdrk3_step,
 )
+
+
+def rk3_stability_contains(z) -> bool:
+    """Whether z lies in the stability region |1 + z + z^2/2 + z^3/6| <= 1."""
+    return bool(np.abs(rk3_amplification(z)) <= 1.0)
 
 
 def test_linear_decay_follows_amplification_polynomial():
@@ -88,3 +95,67 @@ def test_step_leaves_its_input_unmodified(wrap, rhs):
     assert out.dtype == u.dtype
     decay = rk3_amplification(-0.1).real
     assert np.allclose(out, decay * u)
+
+
+def test_a_scalar_state_steps_like_a_one_point_array():
+    got = tvdrk3_step(np.float64(2.0), lambda v: -0.7 * v, 0.1)
+    assert got.shape == ()
+    assert got == tvdrk3_step(np.array([2.0]), lambda v: -0.7 * v, 0.1)[0]
+
+
+def test_finite_state_whose_sum_of_squares_overflows_steps():
+    # its sum and u.u overflow to inf; only the entry-wise check clears it
+    u = np.array([1e308, 1e308, -1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does the check warn
+        out = tvdrk3_step(u, lambda v: np.zeros_like(v), 0.1)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, u)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_the_check_names_each_stage_of_a_complex_state(stage):
+    # a complex u.u goes through abs; the real case is tested above
+    calls = []
+
+    def rhs(v, out):
+        calls.append(None)
+        out[...] = np.inf if len(calls) == stage else -v
+
+    stepper = TvdRk3((5,), complex)
+    stepper.u[...] = 1.0 - 2.0j
+    with np.errstate(invalid="ignore"), pytest.raises(
+            DivergenceError, match=f"RK stage {stage} at step 3$"):
+        stepper.step(stepper.u, rhs, 0.1, step_index=3)
+
+
+def _sine_rate(v, out):
+    np.multiply(np.sin(v), -1.5, out)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stepping_another_array_gives_the_bytes_of_stepping_the_own_row(dtype):
+    rng = np.random.default_rng(7)
+    u0 = rng.normal(size=12).astype(dtype)
+    if dtype is complex:
+        u0 += 1j * rng.normal(size=12)
+    own, other = TvdRk3(u0.shape, dtype), TvdRk3(u0.shape, dtype)
+    own.u[...] = u0
+    u = u0.copy()
+    for step, dt in enumerate((0.1, 0.1, 0.03, 0.1)):
+        own.step(own.u, _sine_rate, dt, step_index=step)
+        other.step(u, _sine_rate, dt, step_index=step)
+        assert u.tobytes() == own.u.tobytes()
+    assert not np.array_equal(u, u0)
+
+
+def test_the_stage_rows_hold_the_documented_stages():
+    # stages = [u1, u, rate, u2] after a step of u' = -u from u = 1
+    stepper = TvdRk3((3,))
+    stepper.u[...] = 1.0
+    stepper.step(stepper.u, lambda v, out: np.negative(v, out), 0.1)
+    u1, u, rate, u2 = stepper.stages[:, 0]
+    assert u1 == 1.0 - 0.1
+    assert u2 == 0.75 + 0.25 * u1 - 0.025 * u1
+    assert rate == -u2
+    assert u == 1.0 / 3.0 + 2.0 / 3.0 * u2 + (2.0 / 3.0 * 0.1) * rate
