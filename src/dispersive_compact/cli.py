@@ -433,8 +433,8 @@ def dispatch(argv=None) -> int:
         print(f"error: unknown scheme {err.args[0]!r}; {_known_schemes_note()}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, SingularOperatorError) as err:
-        # before ValueError: SingularOperatorError is one
+    except (DivergenceError, SingularOperatorError, exact.DerivationError) as err:
+        # before ValueError: SingularOperatorError and DerivationError are ones
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as err:

@@ -195,6 +195,11 @@ def _taylor_rows(template: SchemeTemplate):
     return row
 
 
+# (template, max_order) -> the conditions, each built once per process and
+# handed out as fresh dicts
+_conditions_cache: dict[tuple[SchemeTemplate, int], tuple] = {}
+
+
 def order_conditions(
     template: SchemeTemplate, max_order: int
 ) -> list[dict[str, Fraction]]:
@@ -202,8 +207,18 @@ def order_conditions(
 
     Each returned equation is a mapping unknown -> coefficient plus a
     ``"const"`` entry, with the convention  sum(coef * unknown) + const = 0.
-    Degrees that vanish identically by parity are checked and skipped.
+    Degrees that vanish identically by parity are checked and skipped.  The
+    list and its dicts are the caller's own.
     """
+    key = (template, max_order)
+    conditions = _conditions_cache.get(key)
+    if conditions is None:
+        conditions = tuple(_build_conditions(template, max_order))
+        _conditions_cache[key] = conditions
+    return [dict(eq) for eq in conditions]
+
+
+def _build_conditions(template: SchemeTemplate, max_order: int):
     template.validate()
     if max_order < 0 or max_order % 2 != 0:
         raise ValueError("max_order must be even and non-negative")

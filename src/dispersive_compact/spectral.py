@@ -16,11 +16,11 @@ formulas beyond pi.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from . import exact
 from .banded import SingularOperatorError, check_invertible
@@ -111,42 +111,70 @@ class SchemeSymbol:
 
     @functools.cached_property
     def _factored(self):
-        """Exact (k_r, P, A) with psi (odd d) or T (d = 0), before the CI
-        transfer, equal to s * prod_r (y - r)^k_r * P(y)/A(y) for r = 0, 1, 2,
-        where y = 1 - x, x = cos(w/2), s = sin(w/2) for odd taps and 1 for even
+        """(k_r, P, A) with psi (odd d) or T (d = 0), before the CI transfer,
+        equal to s * prod_r (y - r)^k_r * P(y)/A(y) for r = 0, 1, 2, where
+        y = 1 - x, x = cos(w/2), s = sin(w/2) for odd taps and 1 for even
         ones: sin(m w/2) = s U_{m-1}(x), cos(m w/2) = T_m(x), A = 1 +
         2 alpha T_2(x) + 2 beta T_4(x).  The zeros at w = 0, pi and 2 pi, where
-        the trigonometric sums cancel, are divided out exactly."""
+        the trigonometric sums cancel, are divided out exactly.
+
+        The taps, alpha and beta are scaled by the LCM of their denominators,
+        so P and A are built and divided in integers over that one common
+        denominator.  Each coefficient is converted by ``c / scale``, the
+        correctly rounded integer division that ``float(Fraction)`` does;
+        P and A are float tuples in ascending powers of y, without zero
+        high coefficients."""
         odd = self.derivative_order % 2 == 1
         count = max(4, *(m for m, _ in self.taps)) + 1
-        cheb_t = _chebyshev_in_y([1, -1], count)
-        cheb_u = _chebyshev_in_y([2, -2], count)
+        cheb_t = _chebyshev_in_y(1, count)
+        cheb_u = _chebyshev_in_y(2, count)
+        scale = math.lcm(self.alpha.denominator, self.beta.denominator,
+                         *(w.denominator for _, w in self.taps))
+
+        def scaled(q):
+            return q.numerator * (scale // q.denominator)
+
         sign = -1 if self.derivative_order % 4 == 3 else 1
-        num = sum(sign * 2 * w * (cheb_u[m - 1] if odd else cheb_t[m])
-                  for m, w in self.taps if m > 0)
-        if not odd:
-            num = num + sum(w * cheb_t[0] for m, w in self.taps if m == 0)
-        den = cheb_t[0] + 2 * self.alpha * cheb_t[2] + 2 * self.beta * cheb_t[4]
+        num = [0] * count
+        for m, w in self.taps:
+            if m > 0:
+                basis = cheb_u[m - 1] if odd else cheb_t[m]
+                weight = sign * 2 * scaled(w)
+            elif m == 0 and not odd:
+                basis, weight = cheb_t[0], scaled(w)
+            else:
+                continue
+            num = [n + weight * c for n, c in zip(num, basis)]
+        alpha, beta = 2 * scaled(self.alpha), 2 * scaled(self.beta)
+        den = [scale * t0 + alpha * t2 + beta * t4
+               for t0, t2, t4 in zip(cheb_t[0], cheb_t[2], cheb_t[4])]
         powers = []
         for root in (0, 1, 2):
             k_num, num = _divide_out(num, root)
             k_den, den = _divide_out(den, root)
             powers.append(k_num - k_den)
-        return powers, np.array(num, dtype=float), np.array(den, dtype=float)
+        return powers, _to_float(num, scale), _to_float(den, scale)
 
     def _evaluate(self, trig):
         """psi or T from the ``_trig`` factors of w, times the CI transfer,
-        which reads the same factors."""
+        which reads the same factors.
+
+        P(y)/A(y) is ``polyval``'s Horner rule with the same rounding, run in
+        place in the buffer that it returns; a scalar w stays numpy-scalar
+        arithmetic."""
         factors, sine = trig
         powers, num, den = self._factored
-        out = polyval(factors[0], num) / polyval(factors[0], den)
+        out = _horner(num, factors[0])
+        out /= _horner(den, factors[0])
         for factor, k in zip(factors, powers):
-            if k:  # x * 1 = x exactly
-                out = out * factor ** k
+            if k == 1:  # x ** 1 = x exactly
+                out *= factor
+            elif k:
+                out *= factor ** k
         if self.derivative_order % 2 == 1:
-            out = out * sine
+            out *= sine
         if self.transfer is not None:
-            out = out * self.transfer._evaluate(trig)
+            out *= self.transfer._evaluate(trig)
         return out
 
     def _require_odd(self):
@@ -173,15 +201,16 @@ def _trig(omega):
              -2.0 * np.cos(omega / 4.0) ** 2), np.sin(omega / 2.0))
 
 
-def _chebyshev_in_y(first, count):
-    """T_k (first = [1, -1]) or U_k (first = [2, -2]) of x = 1 - y for k < count,
-    as exact coefficient arrays of count terms in ascending powers of y."""
-    polys = [np.array([1] + [0] * (count - 1), dtype=object),
-             np.array(first + [0] * (count - 2), dtype=object)]
+@functools.lru_cache(maxsize=None)
+def _chebyshev_in_y(second: int, count: int):
+    """T_k (second = 1) or U_k (second = 2) of x = 1 - y for k < count, as
+    integer coefficient tuples of count terms in ascending powers of y."""
+    polys = [(1,) + (0,) * (count - 1), (second, -second) + (0,) * (count - 2)]
     while len(polys) < count:
-        p = polys[-1]
-        polys.append(2 * p - 2 * np.roll(p, 1) - polys[-2])  # 2 x p - q
-    return polys
+        p, q = polys[-1], polys[-2]  # 2 x p - q
+        polys.append(tuple(2 * c - 2 * b - a
+                           for c, b, a in zip(p, (0,) + p[:-1], q)))
+    return tuple(polys)
 
 
 def _divide_out(poly, root):
@@ -195,6 +224,25 @@ def _divide_out(poly, root):
         if acc != 0:
             return j, poly
         poly, j = quotient[-2::-1], j + 1
+
+
+def _to_float(poly, scale):
+    """Integer coefficients over ``scale`` as floats, without zero high
+    coefficients, which add only zeros to Horner's rule."""
+    end = len(poly)
+    while end > 1 and poly[end - 1] == 0:
+        end -= 1
+    return tuple(c / scale for c in poly[:end])
+
+
+def _horner(coeffs, y):
+    """``polyval(y, coeffs)``: the same operations, in one buffer."""
+    acc = y * 0
+    acc += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
 
 
 def _symbol_from_parts(template, coeffs, transfer=None) -> SchemeSymbol:
@@ -338,7 +386,10 @@ def resolving_efficiency(scheme_id: str, eps_t: float,
         return lo
 
     omega, omega_d, trig = _scan_grid(d)
-    scan = np.abs(sym._evaluate(trig) - omega_d) / omega_d
+    scan = sym._evaluate(trig)  # |psi - w^d| / w^d in psi's own buffer
+    scan -= omega_d
+    np.abs(scan, out=scan)
+    scan /= omega_d
     if mode == "strict":
         beyond = np.nonzero(scan > eps_t)[0]
         wf = np.pi
@@ -364,7 +415,9 @@ _ls_cache: dict[tuple, exact.SchemeCoefficients] = {}
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(points: int):
-    return np.polynomial.legendre.leggauss(points)
+    from numpy.polynomial.legendre import leggauss  # only the LS integrals
+
+    return leggauss(points)
 
 
 def _quadrature(r: float, points: int):

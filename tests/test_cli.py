@@ -101,7 +101,16 @@ CONVERGE_ARGV = ("converge", "--example", "soliton", "--scheme", "tdcncs",
 @pytest.mark.parametrize("argv, golden", [
     (SPECTRUM_ARGV, "spectrum_TDCNCS-T4_64.csv"),
     (CONVERGE_ARGV, "converge_soliton.csv"),
-], ids=["spectrum", "converge"])
+    # written before the symbol was factored in integers and evaluated in place
+    (("efficiency", "--schemes", "all"), "efficiency_all.csv"),
+    (("efficiency", "--schemes", "all", "--mode", "strict"),
+     "efficiency_all_strict.csv"),
+    (("filter-analyze", "--name", "F12", "--alpha-f", "0.4"),
+     "filter_F12_0.4.csv"),
+    (("spectrum", "--scheme", "TDCCCS-CI-T8", "--samples", "64"),
+     "spectrum_TDCCCS-CI-T8_64.csv"),
+], ids=["spectrum", "converge", "efficiency", "efficiency-strict", "filter",
+        "spectrum-ci"])
 def test_table_is_the_pinned_bytes_in_a_file_and_on_stdout(argv, golden,
                                                            tmp_path, capsys):
     want = (GOLDEN / golden).read_bytes()
@@ -270,6 +279,17 @@ def test_singular_operator_is_numerical_failure(capsys):
         assert run_cli("stability", "--scheme", "TDCNCS-T4", "--n", n) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_singular_ls_system_is_numerical_failure(capsys):
+    # r = 1e-12 is inside (0, 1], but the quadrature interval is too short
+    # for the stationarity system to be solved
+    argv = ("ls-optimize", "--family", "TDCCS", "--variant", "T8", "--r", "1e-12")
+    assert run_cli(*argv) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: singular LS stationarity system")
+    assert err.count("\n") == 1
 
 
 def test_efficiency_all_lists_only_accepted_ids(tmp_path):

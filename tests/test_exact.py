@@ -76,14 +76,19 @@ def test_mutating_returned_conditions_leaves_derivation_exact():
     # the Taylor rows are cached per template; what callers get is theirs
     leads = {sid: exact.leading_truncation_error(*exact.builtin_scheme(sid))
              for sid in exact.catalogued_scheme_ids()}
+    # and each (template, max_order) list is built once; what a caller gets
+    # is a fresh list of fresh dicts
     for template in set(exact._FAMILY_TEMPLATES.values()):
+        want = [dict(eq) for eq in exact.order_conditions(template, 12)]
         conditions = exact.order_conditions(template, 12)
+        assert conditions == want
         conditions += [order_conditions_single(template, degree)
                        for degree in range(24)]
         for eq in conditions:
             for key in eq:
                 eq[key] += 1
             eq["extra"] = F(7)
+        assert exact.order_conditions(template, 12) == want
     test_derivation_reproduces_catalogue_exactly()
     for sid, lead in leads.items():
         assert exact.leading_truncation_error(*exact.builtin_scheme(sid)) == lead

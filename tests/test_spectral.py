@@ -1,10 +1,15 @@
 """Fourier symbols, resolving efficiency, LS optimization, eigenvalues."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+import symbol_oracle
 from mp_oracle import direct_sum, psi_mp
 
 from dispersive_compact import cli, exact, spectral
@@ -264,3 +269,85 @@ def test_float_psi_keeps_relative_precision_near_zeros():
                 if err > worst[0]:
                     worst = (err, sid, w)
     assert worst[0] <= 1e-12, worst
+
+
+def _pinned_symbols():
+    """Every analysed id, the three filters at five strengths, and each LS
+    id's family and variant optimized over three more ranges."""
+    syms = {sid: spectral.scheme_symbol(sid)
+            for sid in spectral.analysis_scheme_ids()}
+    for name in ("F8", "F10", "F12"):
+        for alpha_f in (-0.2, 0.0, 0.3, 0.4, 0.49):
+            syms[f"{name}:{alpha_f}"] = filter_by_name(name, alpha_f).symbol
+    for sid in spectral.analysis_scheme_ids():
+        family, variant = exact.split_scheme_id(sid)
+        if family in spectral._LS_FAMILIES:
+            base = spectral._LS_FAMILIES[family]
+            for r in (0.3, 0.65, 0.9):
+                coeffs = spectral.ls_optimize(base, variant, r)
+                syms[f"{sid}@{r}"] = spectral._symbol_from_parts(
+                    exact.family_template(base), coeffs)
+    return syms
+
+
+def test_factored_symbol_has_the_bits_of_the_rational_polyval_oracle():
+    # the integer build and the in-place Horner rule against the Fraction
+    # build and polyval they replaced: the same powers, the same coefficients
+    # less zero high ones, and the same values and result type at every input
+    syms = _pinned_symbols()
+    assert len(syms) == 96 + 15 + 54
+    scan = spectral._scan_grid(3)[0].copy()
+    wide = np.concatenate([np.linspace(0.0, 2 * np.pi, 401),
+                           [0.0, np.pi, 2 * np.pi, 1e-300]])
+    inputs = [scan, wide, 1.234, np.float64(2.5), np.array(np.pi / 3)]
+    for name, sym in syms.items():
+        powers, num, den = symbol_oracle.factored(sym)
+        got_powers, got_num, got_den = sym._factored
+        assert got_powers == powers, name
+        assert np.array(got_num).tobytes() == symbol_oracle.trim(num).tobytes(), name
+        assert np.array(got_den).tobytes() == symbol_oracle.trim(den).tobytes(), name
+        evaluate = (sym.psi if sym.derivative_order % 2 == 1
+                    else sym.transfer_function)
+        for omega in inputs:
+            with np.errstate(all="ignore"):  # T4 bands vanish at pi
+                want = symbol_oracle.evaluate(
+                    sym, spectral._trig(np.asarray(omega, dtype=float)))
+                got = evaluate(omega)
+            assert type(got) is type(want), (name, omega)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["band_edge", "strict"])
+@pytest.mark.parametrize("eps_t", [1e-3, 1e-4])
+def test_efficiency_is_the_oracle_efficiency_bit_for_bit(eps_t, mode):
+    ids = [sid for sid in spectral.analysis_scheme_ids()
+           if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
+    assert len(ids) == 87
+    for sid in ids:
+        got = spectral.resolving_efficiency(sid, eps_t, mode=mode).omega_f
+        want = symbol_oracle.resolving_efficiency(
+            spectral.scheme_symbol(sid), eps_t, mode)
+        assert got == want, sid
+
+
+def test_the_package_loads_numpy_polynomial_only_for_least_squares():
+    # a fresh interpreter: importing the package and a dense-path run must
+    # not load numpy.polynomial; the LS Gauss-Legendre nodes then load it
+    script = """
+import sys
+import dispersive_compact
+from dispersive_compact import kdv, spectral
+problem = kdv.make_problem("linear", c=8.0)
+disc = kdv.Discretization("TDCNCS", 20, problem.length, problem.x_lo)
+kdv.integrate(problem, disc, kdv.RunConfig(t_final=0.01))
+assert "numpy.polynomial" not in sys.modules, "loaded before least squares"
+print(spectral.ls_optimize("TDCCS", "T8").as_dict())
+assert "numpy.polynomial" in sys.modules
+"""
+    src = str(pathlib.Path(spectral.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{spectral.ls_optimize('TDCCS', 'T8').as_dict()}\n"
