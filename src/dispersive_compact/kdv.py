@@ -455,22 +455,27 @@ def integrate(problem: KdvProblem, disc: Discretization,
     history = []
     if config.record_every:
         history.append((0.0, disc.node_values(values).copy()))
-    t = 0.0
+    # the loop steps from event to event: a filter step, a record step or
+    # the end
+    cadences = [c for c in (config.filter and config.filter.every,
+                            config.record_every) if c]
+    step = 0
     try:
         # an overflow or invalid operation leaves a non-finite value in the
-        # state, which the step's own check reports as a DivergenceError
+        # state, which the stepper's own check reports as a DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(1, n_steps + 1):
-                stepper.step(values, rate, dt, step_index=step, time=t)
-                t = step * dt
+            while step < n_steps:
+                event = min([n_steps] + [(step // c + 1) * c for c in cadences])
+                stepper.advance(rate, dt, event - step, step + 1)
+                step = event
                 if filt is not None and step % config.filter.every == 0:
                     filt.apply(values, values)
                 if config.record_every and step % config.record_every == 0:
-                    history.append((t, disc.node_values(values).copy()))
+                    history.append((step * dt, disc.node_values(values).copy()))
     except DivergenceError as err:
         raise DivergenceError(
-            f"{problem.name}: diverged at t={t:.6g} (step {err.step})",
-            step=err.step, time=t,
+            f"{problem.name}: diverged at t={err.time:.6g} (step {err.step})",
+            step=err.step, time=err.time,
         ) from None
 
     mass1 = disc.h * float(np.sum(disc.node_values(values)))

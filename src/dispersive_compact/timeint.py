@@ -18,6 +18,14 @@ class DivergenceError(FloatingPointError):
 
 _THIRD = 1.0 / 3.0
 _TWO_THIRDS = 2.0 / 3.0
+# states of at most this many entries multiply full (3, size) weight rows,
+# larger ones broadcast (3, 1) rows: full rows take about half the time of a
+# weighted product, a microsecond or two a step, which counts where a step
+# takes tens of microseconds; above the limit the rate's cost hides it, and
+# the rows would still cost 48 bytes an entry
+FULL_WEIGHTS_LIMIT = 1024
+# ``advance`` checks the state once per block of this many steps
+CHECK_EVERY = 32
 
 
 class TvdRk3:
@@ -25,19 +33,28 @@ class TvdRk3:
 
     ``rhs(v, out)`` writes the rate at ``v`` into ``out``.  A step evaluates
     u1 = u + dt S(u); u2 = (3/4 u + 1/4 u1) + (dt/4) S(u1);
-    u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order.
+    u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order.  ``step``
+    takes one step of any array; ``advance`` takes a block of steps of the
+    own row in one call.  Both run the one stage body ``_run``.
 
     The stages are the rows of one buffer, ``stages`` = [u1, u, rate, u2], so
-    each of the two weighted sums takes its three products in one broadcast
-    multiply: stage 2 over rows 0:3, stage 3 over rows 1:4.  ``u`` is the
-    stepper's own row; a loop that steps it copies nothing, and any other
-    array is copied in and back out.
+    each of the two weighted sums takes its three products in one multiply:
+    stage 2 over rows 0:3, stage 3 over rows 1:4.  The weights are full
+    (3, size) rows for a state of at most ``FULL_WEIGHTS_LIMIT`` entries and
+    (3, 1) rows above it; either way each product has the same bits.  ``u``
+    is the stepper's own row; a loop that steps it copies nothing, and any
+    other array is copied in and back out.
 
     The result is checked by one reduction, u.u, which is non-finite whenever
     an entry is; only then does ``np.isfinite`` look at the entries, which
     clears a finite state whose sum of squares overflows, and re-check u1 and
     u2 to name the stage.  A non-finite stage always reaches the result
-    through its 1/4 or 2/3 weight.
+    through its 1/4 or 2/3 weight, and a non-finite entry of u reaches the
+    next result through its 1/3 weight, so once the state is non-finite it
+    stays so.  ``advance`` therefore checks once per block of
+    ``CHECK_EVERY`` steps; a block that fails is restored from the copy
+    taken at its start and replayed through ``step``, which raises for the
+    step that ``step`` alone would have raised for.
     """
 
     def __init__(self, shape, dtype=float):
@@ -50,39 +67,61 @@ class TvdRk3:
         self._views = (*rows, self.stages[:3], self.stages[1:], products)
         self.u = rows[1]
         self._flat = self.u.reshape(-1)
-        # per-row weights of stage 2 (rows 0:3) and stage 3 (rows 1:4); the
-        # dt entries are set by the first step of each dt
-        self._w2, self._w3 = np.empty((2, 3, *(1,) * len(shape)), dtype)
+        self._start = np.empty(shape, dtype)  # a block's first state
+        # weights of stage 2 (rows 0:3) and stage 3 (rows 1:4); the dt
+        # entries are set by the first step of each dt
+        full = math.prod(shape) <= FULL_WEIGHTS_LIMIT
+        self._w2, self._w3 = np.empty(
+            (2, 3, *(shape if full else (1,) * len(shape))), dtype)
         self._dt = None
 
-    def step(self, u, rhs, dt, step_index=None, time=None) -> None:
-        """Advance ``u`` by one step of size ``dt``, in place."""
-        u1, own, r, u2, p0, p1, p2, head, tail, prod = self._views
-        mul, add = np.multiply, np.add
+    def _use(self, dt) -> None:
+        """Refuse a non-finite ``dt``, and set the weights of a new one."""
         if dt != self._dt:
+            if not math.isfinite(dt):
+                raise ValueError(f"dt must be finite, got {dt}")
             self._dt = dt
-            self._w2.flat = (0.25, 0.75, 0.25 * dt)
-            self._w3.flat = (_THIRD, _TWO_THIRDS * dt, _TWO_THIRDS)
-        if u is not own:
-            own[...] = u
-        rhs(own, r)
-        mul(r, dt, u1)
-        add(u1, own, u1)
-        rhs(u1, r)
-        mul(head, self._w2, prod)  # 1/4 u1, 3/4 u, dt/4 S(u1)
-        add(p1, p0, u2)
-        add(u2, p2, u2)
-        rhs(u2, r)
-        mul(tail, self._w3, prod)  # 1/3 u, 2 dt/3 S(u2), 2/3 u2
-        add(p0, p2, own)
-        add(own, p1, own)
-        if u is not own:
-            u[...] = own
+            # the transposes put the three weights on the last axis
+            self._w2.T[...] = (0.25, 0.75, 0.25 * dt)
+            self._w3.T[...] = (_THIRD, _TWO_THIRDS * dt, _TWO_THIRDS)
+
+    def _run(self, rhs, dt, steps) -> None:
+        """The stage body: ``steps`` unchecked steps of the own row, with the
+        weights that ``_use(dt)`` set."""
+        u1, own, r, u2, p0, p1, p2, head, tail, prod = self._views
+        w2, w3 = self._w2, self._w3
+        mul, add = np.multiply, np.add
+        for _ in range(steps):
+            rhs(own, r)
+            mul(r, dt, u1)
+            add(u1, own, u1)
+            rhs(u1, r)
+            mul(head, w2, prod)  # 1/4 u1, 3/4 u, dt/4 S(u1)
+            add(p1, p0, u2)
+            add(u2, p2, u2)
+            rhs(u2, r)
+            mul(tail, w3, prod)  # 1/3 u, 2 dt/3 S(u2), 2/3 u2
+            add(p0, p2, own)
+            add(own, p1, own)
+
+    def _finite(self) -> bool:
         flat = self._flat
         # abs takes a complex u.u to a real number that is non-finite when
         # either part is (cmath would cost loading a shared library)
-        if (not math.isfinite(abs(flat.dot(flat)))
-                and not np.isfinite(own).all()):
+        return (math.isfinite(abs(flat.dot(flat)))
+                or bool(np.isfinite(self.u).all()))
+
+    def step(self, u, rhs, dt, step_index=None, time=None) -> None:
+        """Advance ``u`` by one step of size ``dt``, in place."""
+        self._use(dt)
+        own = self.u
+        if u is not own:
+            own[...] = u
+        self._run(rhs, dt, 1)
+        if u is not own:
+            u[...] = own
+        if not self._finite():
+            u1, u2 = self.stages[0], self.stages[3]
             stage = 1 if not np.isfinite(u1).all() else (
                 2 if not np.isfinite(u2).all() else 3)
             raise DivergenceError(
@@ -92,12 +131,29 @@ class TvdRk3:
                 time=time,
             )
 
+    def advance(self, rhs, dt, steps, first_step=1) -> None:
+        """Advance the own row ``u`` by ``steps`` steps of size ``dt``, in
+        place.  The steps are numbered from ``first_step``, and step k starts
+        at time (k - 1) dt: a ``DivergenceError`` carries the index and start
+        time of the first step whose result is not finite."""
+        self._use(dt)
+        own, start = self.u, self._start
+        end = first_step + steps
+        for first in range(first_step, end, CHECK_EVERY):
+            block = min(CHECK_EVERY, end - first)
+            start[...] = own
+            self._run(rhs, dt, block)
+            if not self._finite():
+                own[...] = start
+                for k in range(first, first + block):
+                    self.step(own, rhs, dt, k, (k - 1) * dt)
+
 
 def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
     """One TVD-RK3 step of an array of any dtype by ``TvdRk3``, with the rate
     ``rhs_fn(v)``; returns a new array and leaves ``u`` unmodified."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     u = np.asarray(u)
     u = np.array(u, dtype=np.result_type(u, float))
 

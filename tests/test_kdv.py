@@ -10,7 +10,7 @@ import pytest
 from dispersive_compact import exact, kdv, spectral
 from dispersive_compact.kdv import DualGridFunction
 from dispersive_compact.operators import DENSE_LIMIT, FilterOperator, filter_by_name
-from dispersive_compact.timeint import DivergenceError
+from dispersive_compact.timeint import DivergenceError, TvdRk3
 
 
 def test_preset_fields():
@@ -290,6 +290,12 @@ def test_filter_config_refuses_non_integer_cadence():
 def _oracle_state(problem, disc, config):
     """Final fine-grid state of a plain-numpy TVD-RK3 loop, written out in
     the operation order of ``TvdRk3`` with allocating arithmetic."""
+    return _oracle_run(problem, disc, config)[0]
+
+
+def _oracle_run(problem, disc, config):
+    """``_oracle_state``'s loop, stepped one step at a time: its final
+    fine-grid state and its history, sampled as ``integrate`` documents."""
     t_final = problem.t_final if config.t_final is None else config.t_final
     n_steps = max(1, round(t_final / config.timestep(disc.h)))
     dt = t_final / n_steps
@@ -319,13 +325,16 @@ def _oracle_state(problem, disc, config):
             filter_by_name(config.filter.name, config.filter.alpha_f), disc.n,
             disc.d3_op.grid_kind))
     u = disc.initial_state(problem)
+    history = [(0.0, disc.node_values(u))] if config.record_every else []
     for step in range(1, n_steps + 1):
         u1 = u + dt * rate(u)
         u2 = 0.75 * u + 0.25 * u1 + (0.25 * dt) * rate(u1)
         u = (1.0 / 3.0) * u + (2.0 / 3.0) * u2 + (2.0 / 3.0 * dt) * rate(u2)
         if filt is not None and step % config.filter.every == 0:
             u = filt(u)
-    return u
+        if config.record_every and step % config.record_every == 0:
+            history.append((step * dt, disc.node_values(u)))
+    return u, history
 
 
 def _dispersion_limit_10_steps(n):
@@ -363,6 +372,38 @@ def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     assert np.array_equal(got, _oracle_state(problem, disc, config))
 
 
+def _soliton_steps(steps, dt=0.002):
+    return dict(dt_rule="fixed", dt=dt, t_final=steps * dt)
+
+
+@pytest.mark.parametrize("family, n, config", [
+    # events of both cadences, apart and together, over a ragged end
+    ("TDCNCS", 40, kdv.RunConfig(**_soliton_steps(17), record_every=5,
+                                 filter=kdv.FilterConfig("F12", 0.4, 3))),
+    # the one record is the t = 0 sample
+    ("TDCNCS", 40, kdv.RunConfig(**_soliton_steps(17), record_every=18)),
+    # a filter after every step, so every segment is one step long
+    ("TDCNCS", 40, kdv.RunConfig(**_soliton_steps(70), record_every=33,
+                                 filter=kdv.FilterConfig("F10", 0.2, 1))),
+    # a dual grid, with segments longer than a checked block
+    ("TDCCS", 32, kdv.RunConfig(**_soliton_steps(100), record_every=40,
+                                filter=kdv.FilterConfig("F12", 0.4, 35))),
+])
+def test_segments_between_events_give_the_bytes_of_the_step_loop(
+        family, n, config):
+    problem = kdv.make_problem("soliton")
+    disc = kdv.Discretization(family, n, problem.length, problem.x_lo)
+    result = kdv.integrate(problem, disc, config)
+    want, want_history = _oracle_run(problem, disc, config)
+    state = result.state
+    got = state.fine() if isinstance(state, DualGridFunction) else state.values
+    assert got.tobytes() == want.tobytes()
+    assert [t for t, _ in result.history] == [t for t, _ in want_history]
+    assert [v.tobytes() for _, v in result.history] == [
+        v.tobytes() for _, v in want_history]
+    assert len(want_history) == 1 + result.n_steps // config.record_every
+
+
 def test_a_run_without_a_flux_never_builds_the_first_derivative():
     p = kdv.make_problem("linear", c=8.0)
     d = kdv.Discretization("TDCNCS", 20, p.length)
@@ -382,6 +423,53 @@ def test_divergence_reports_its_step():
     assert "(step 8)" in str(err.value)
     assert err.value.time == pytest.approx(0.35)
     assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
+
+
+def _step_by_step_divergence(problem, disc, config):
+    """The error that ``TvdRk3.step`` raises when ``integrate``'s run is
+    stepped one checked step at a time, filtered after the step."""
+    t_final = problem.t_final if config.t_final is None else config.t_final
+    n_steps = max(1, round(t_final / config.timestep(disc.h)))
+    dt = t_final / n_steps
+    stepper = TvdRk3((disc.d3_op.size,))
+    stepper.u[...] = disc.initial_state(problem)
+    rate = kdv.bind_rate(problem, disc)
+    filt = None
+    if config.filter is not None:
+        filt = FilterOperator(filter_by_name(config.filter.name,
+                                             config.filter.alpha_f),
+                              disc.n, disc.d3_op.grid_kind)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError) as err:
+        for step in range(1, n_steps + 1):
+            stepper.step(stepper.u, rate, dt, step, (step - 1) * dt)
+            if filt is not None and step % config.filter.every == 0:
+                filt.apply(stepper.u, stepper.u)
+    return err.value
+
+
+@pytest.mark.parametrize("family, flt", [
+    ("TDCNCS", None),
+    ("TDCNCS", kdv.FilterConfig("F12", 0.4, 3)),
+    ("TDCCS", kdv.FilterConfig("F10", 0.2, 5)),
+])
+def test_divergence_is_reported_as_step_by_step_stepping_reports_it(
+        family, flt):
+    p = kdv.make_problem("soliton")
+    d = kdv.Discretization(family, 40, p.length, p.x_lo)
+    config = kdv.RunConfig(dt_rule="fixed", dt=0.05, filter=flt,
+                           record_every=2)
+    want = _step_by_step_divergence(p, d, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the dt guard's
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as err:
+            kdv.integrate(p, d, config)
+    assert (err.value.step, err.value.time) == (want.step, want.time)
+    assert str(err.value) == (
+        f"soliton: diverged at t={want.time:.6g} (step {want.step})")
+    # the stepper's own error, naming the stage, is the context
+    assert str(err.value.__context__) == str(want)
 
 
 @pytest.mark.parametrize("family, flt", [

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dispersive_compact.timeint import (
+    CHECK_EVERY,
+    FULL_WEIGHTS_LIMIT,
     DivergenceError,
     TvdRk3,
     rk3_amplification,
@@ -159,3 +161,114 @@ def test_the_stage_rows_hold_the_documented_stages():
     assert u2 == 0.75 + 0.25 * u1 - 0.025 * u1
     assert rate == -u2
     assert u == 1.0 / 3.0 + 2.0 / 3.0 * u2 + (2.0 / 3.0 * 0.1) * rate
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_non_finite_dt_rejected(dt):
+    u = np.ones(3)
+    stepper = TvdRk3((3,))
+    stepper.u[...] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite"):
+            tvdrk3_step(u, lambda v: v, dt)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            stepper.step(u, lambda v, out: np.copyto(out, v), dt)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            stepper.advance(lambda v, out: np.copyto(out, v), dt, 5)
+    assert np.array_equal(u, np.ones(3))
+    assert np.array_equal(stepper.u, np.ones(3))
+
+
+def _growth_until(trigger):
+    """The rate u' = u of a state of ones, which is infinite wherever the
+    value it is evaluated at lies within 5 % of ``trigger``."""
+    def rhs(v, out):
+        np.copyto(out, v)
+        out[np.abs(v / trigger - 1.0) < 0.05] = np.inf
+
+    return rhs
+
+
+def _step_by_step_error(rhs, dt, steps):
+    stepper = TvdRk3((3,))
+    stepper.u[...] = 1.0
+    with pytest.raises(DivergenceError) as err:
+        for k in range(1, steps + 1):
+            stepper.step(stepper.u, rhs, dt, k, (k - 1) * dt)
+    return err.value
+
+
+# with dt = 1 each step of u' = u from a multiplies it by 8/3 and evaluates
+# the rate at a, 2a and 7a/4, which name stages 1, 2 and 3
+@pytest.mark.parametrize("step", [
+    CHECK_EVERY + 1,  # a block's first step
+    CHECK_EVERY + CHECK_EVERY // 2,  # its middle
+    2 * CHECK_EVERY,  # its last step
+])
+@pytest.mark.parametrize("stage, factor", [(1, 1.0), (2, 2.0), (3, 1.75)])
+def test_a_block_reports_the_divergence_that_step_by_step_stepping_does(
+        step, stage, factor):
+    dt = 1.0
+    rhs = _growth_until(factor * rk3_amplification(dt).real ** (step - 1))
+    want = _step_by_step_error(rhs, dt, 3 * CHECK_EVERY)
+    assert (want.step, str(want)) == (
+        step, f"non-finite values in RK stage {stage} at step {step}")
+    stepper = TvdRk3((3,))
+    stepper.u[...] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError) as err:
+            stepper.advance(rhs, dt, 3 * CHECK_EVERY)
+    assert (err.value.step, err.value.time, str(err.value)) == (
+        want.step, want.time, str(want))
+
+
+def test_advance_numbers_its_steps_from_first_step():
+    dt = 0.5
+    rhs = _growth_until(rk3_amplification(dt).real ** 9)
+    want = _step_by_step_error(rhs, dt, 20)
+    stepper = TvdRk3((3,))
+    stepper.u[...] = 1.0
+    stepper.advance(rhs, dt, 4, first_step=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError) as err:
+        stepper.advance(rhs, dt, 16, first_step=5)
+    assert (err.value.step, err.value.time) == (want.step, want.time) == (
+        10, 4.5)
+
+
+# full weight rows up to the limit, (3, 1) rows above it
+@pytest.mark.parametrize("shape", [
+    (), (5,), (2, 3), (FULL_WEIGHTS_LIMIT,), (FULL_WEIGHTS_LIMIT + 1,)])
+def test_step_and_advance_give_the_bytes_of_the_plain_loop(shape):
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=shape)
+    own, other = TvdRk3(shape), TvdRk3(shape)
+    own.u[...] = other.u[...] = u
+    dt, steps = 0.07, 2 * CHECK_EVERY + 3
+
+    def rate(v):
+        return np.sin(v) * -1.5
+
+    for _ in range(steps):
+        own.step(own.u, _sine_rate, dt)
+        u1 = u + dt * rate(u)
+        u2 = 0.75 * u + 0.25 * u1 + (0.25 * dt) * rate(u1)
+        u = (1.0 / 3.0) * u + (2.0 / 3.0) * u2 + (2.0 / 3.0 * dt) * rate(u2)
+    other.advance(_sine_rate, dt, steps)
+    assert own.u.tobytes() == u.tobytes()
+    assert other.u.tobytes() == u.tobytes()
+
+
+def test_finite_state_whose_sum_of_squares_overflows_advances():
+    # every block's u.u overflows; the entries clear each of them
+    stepper = TvdRk3((4,))
+    stepper.u[...] = u = np.array([1e308, 1e308, -1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            stepper.advance(lambda v, out: out.fill(0.0), 0.1,
+                            2 * CHECK_EVERY + 1)
+    assert np.array_equal(stepper.u, u)
