@@ -100,11 +100,16 @@ class SchemeTemplate:
                 taps[off] = taps.get(off, 0) + cv * num(w)
         return tuple(sorted(taps.items()))
 
-    @property
-    def max_offset(self) -> int:
-        spans = [abs(off) for off, _ in self.lhs_offsets]
-        spans += [abs(off) for g in self.rhs_groups for off, _ in g.taps]
-        return max(spans)
+    def check_grid(self, n: int) -> None:
+        """Refuse N = ``n`` cells below the stencil's half-width in h/2 units:
+        the one minimum-N rule of operators and circulant spectra, node-only
+        and dual alike."""
+        offsets = [off for off, _ in self.lhs_offsets]
+        offsets += [off for g in self.rhs_groups for off, _ in g.taps]
+        half_width = max(map(abs, offsets))
+        if n < half_width:
+            raise ValueError(
+                f"N={n} too small for stencil half-width {half_width} (h/2 units)")
 
 
 @dataclass(frozen=True)

@@ -266,12 +266,6 @@ class Discretization:
     def fine_points(self) -> np.ndarray:
         return self.x_lo + 0.5 * self.h * np.arange(2 * self.n)
 
-    def third(self, values: np.ndarray, out=None) -> np.ndarray:
-        return self.d3_op.matvec(values, out=out)
-
-    def first(self, values: np.ndarray, out=None) -> np.ndarray:
-        return self.d1_op.matvec(values, out=out)
-
     def initial_state(self, problem: KdvProblem):
         """Sample u0 directly (centers sampled, never interpolated)."""
         if self.dual:
@@ -317,14 +311,6 @@ def bind_rate(problem: KdvProblem, disc: Discretization):
     return rate
 
 
-def semidiscrete_rhs(problem: KdvProblem, disc: Discretization,
-                     values: np.ndarray, out=None) -> np.ndarray:
-    """``bind_rate``'s rate at ``values``, written into ``out`` when given."""
-    if out is None:
-        out = np.empty(np.shape(values), np.result_type(values, float))
-    return bind_rate(problem, disc)(values, out)
-
-
 # ---------------------------------------------------------------------------
 # run configuration and integration
 # ---------------------------------------------------------------------------
@@ -349,6 +335,8 @@ class RunConfig:
     t_final: float | None = None  # None: problem default
 
     def __post_init__(self):
+        if self.dt_rule not in ("cfl_h3", "half_h2", "h2", "fixed"):
+            raise ValueError(f"unknown dt rule {self.dt_rule!r}")
         _whole("record_every", self.record_every, 0)
         if self.cfl is not None and not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
@@ -372,9 +360,7 @@ class RunConfig:
             return 0.5 * h * h
         if self.dt_rule == "h2":
             return h * h
-        if self.dt_rule == "fixed":
-            return self.dt
-        raise ValueError(f"unknown dt rule {self.dt_rule!r}")
+        return self.dt
 
 
 @dataclass

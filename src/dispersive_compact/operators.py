@@ -43,7 +43,7 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 # The FFT also won at the 13-smooth sizes 400, 1001, 4225 and 4400.  So
 # ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and the
 # banded solve at the others.  Each operator picks its path once, on its
-# first ``apply``; ``matvec`` is ``apply`` with ``out`` by keyword.
+# first ``apply``.
 
 
 def _fft_is_fast(size: int) -> bool:
@@ -66,10 +66,7 @@ class CompactOperator:
 
     def __init__(self, scheme_id: str, n: int, h: float):
         template, coeffs = exact.builtin_scheme(scheme_id)
-        if n < template.max_offset:
-            raise ValueError(
-                f"N={n} too small for stencil half-width {template.max_offset} (h/2 units)"
-            )
+        template.check_grid(n)
         self._init_circulant(template.flat_taps(coeffs, float), coeffs.alpha,
                              coeffs.beta, template.derivative_order,
                              template.grid_kind, n, h)
@@ -102,14 +99,21 @@ class CompactOperator:
             out += w * padded[pad + shift: pad + shift + size]
         return out * self._scale
 
-    def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """Operator action on a raw array (fine-grid array for dual kind),
-        by the O(N) cyclic banded solve."""
+    def _check_size(self, values: np.ndarray) -> None:
         if len(values) != self.size:
             if self.grid_kind == "dual":
                 raise ValueError("dual operator expects a fine array of length 2N")
             raise ValueError(f"expected {self.n} values, got {len(values)}")
-        return self._solve(self._rhs(values), self.solver.solve)
+
+    def apply_array(self, values: np.ndarray, out=None) -> np.ndarray:
+        """Operator action on a raw array (fine-grid array for dual kind),
+        by the O(N) cyclic banded solve.  Written into ``out`` when given."""
+        self._check_size(values)
+        result = self._solve(self._rhs(values), self.solver.solve)
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     def _solve(self, rhs: np.ndarray, solve) -> np.ndarray:
         """A^{-1} rhs by ``solve``; a dual operator solves each parity of the
@@ -124,6 +128,7 @@ class CompactOperator:
     def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
         """Operator action on a raw array of ``size`` values by real FFT; agrees
         with ``apply_array`` to round-off.  Written into ``out`` when given."""
+        self._check_size(values)
         return np.fft.irfft(self._half_symbol * np.fft.rfft(values),
                             n=self.size, out=out)
 
@@ -136,20 +141,7 @@ class CompactOperator:
         result is written into ``out`` when given, which may be ``values``."""
         if self.size <= DENSE_LIMIT:
             return self.dense_matrix().dot
-        if _fft_is_fast(self.size):
-            return self.apply_fft
-
-        def banded(values, out=None):
-            if out is None:
-                return self.apply_array(values)
-            out[...] = self.apply_array(values)
-            return out
-
-        return banded
-
-    def matvec(self, values: np.ndarray, out=None) -> np.ndarray:
-        """``apply``, with ``out`` by keyword."""
-        return self.apply(values, out)
+        return self.apply_fft if _fft_is_fast(self.size) else self.apply_array
 
     def dense_matrix(self) -> np.ndarray:
         """The full circulant A^{-1} B action, cached.  Column j has the bits

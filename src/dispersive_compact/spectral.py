@@ -531,10 +531,8 @@ def circulant_eigenvalues(scheme_id: str, n: int) -> np.ndarray:
     if sym.transfer is not None:
         raise ValueError("CI-composed symbols have no standalone circulant")
     family, _ = exact.split_scheme_id(scheme_id)
-    template = exact.family_template(_LS_FAMILIES.get(family, family))
+    exact.family_template(_LS_FAMILIES.get(family, family)).check_grid(n)
     size = 2 * n if sym.grid_kind == "dual" else n
-    if template.max_offset > size:
-        raise ValueError(f"N={n} below the stencil span")
     try:
         sigma = circulant_symbol(sym.taps, sym.alpha, sym.beta, sym.grid_kind,
                                  sym.derivative_order, size)

@@ -18,12 +18,6 @@ class DivergenceError(FloatingPointError):
 
 _THIRD = 1.0 / 3.0
 _TWO_THIRDS = 2.0 / 3.0
-# states of at most this many entries multiply full (3, size) weight rows,
-# larger ones broadcast (3, 1) rows: full rows take about half the time of a
-# weighted product, a microsecond or two a step, which counts where a step
-# takes tens of microseconds; above the limit the rate's cost hides it, and
-# the rows would still cost 48 bytes an entry
-FULL_WEIGHTS_LIMIT = 1024
 # ``advance`` checks the state once per block of this many steps
 CHECK_EVERY = 32
 
@@ -34,16 +28,13 @@ class TvdRk3:
     ``rhs(v, out)`` writes the rate at ``v`` into ``out``.  A step evaluates
     u1 = u + dt S(u); u2 = (3/4 u + 1/4 u1) + (dt/4) S(u1);
     u_next = (1/3 u + 2/3 u2) + (2 dt/3) S(u2), in that order.  ``step``
-    takes one step of any array; ``advance`` takes a block of steps of the
-    own row in one call.  Both run the one stage body ``_run``.
+    takes one step and ``advance`` a block of steps of the own row ``u``, in
+    place; both run the one stage body ``_run``.
 
     The stages are the rows of one buffer, ``stages`` = [u1, u, rate, u2], so
-    each of the two weighted sums takes its three products in one multiply:
-    stage 2 over rows 0:3, stage 3 over rows 1:4.  The weights are full
-    (3, size) rows for a state of at most ``FULL_WEIGHTS_LIMIT`` entries and
-    (3, 1) rows above it; either way each product has the same bits.  ``u``
-    is the stepper's own row; a loop that steps it copies nothing, and any
-    other array is copied in and back out.
+    each of the two weighted sums takes its three products in one multiply
+    by full (3, size) weight rows: stage 2 over rows 0:3, stage 3 over rows
+    1:4.
 
     The result is checked by one reduction, u.u, which is non-finite whenever
     an entry is; only then does ``np.isfinite`` look at the entries, which
@@ -70,9 +61,7 @@ class TvdRk3:
         self._start = np.empty(shape, dtype)  # a block's first state
         # weights of stage 2 (rows 0:3) and stage 3 (rows 1:4); the dt
         # entries are set by the first step of each dt
-        full = math.prod(shape) <= FULL_WEIGHTS_LIMIT
-        self._w2, self._w3 = np.empty(
-            (2, 3, *(shape if full else (1,) * len(shape))), dtype)
+        self._w2, self._w3 = np.empty((2, 3, *shape), dtype)
         self._dt = None
 
     def _use(self, dt) -> None:
@@ -111,15 +100,10 @@ class TvdRk3:
         return (math.isfinite(abs(flat.dot(flat)))
                 or bool(np.isfinite(self.u).all()))
 
-    def step(self, u, rhs, dt, step_index=None, time=None) -> None:
-        """Advance ``u`` by one step of size ``dt``, in place."""
+    def step(self, rhs, dt, step_index=None, time=None) -> None:
+        """Advance the own row ``u`` by one step of size ``dt``, in place."""
         self._use(dt)
-        own = self.u
-        if u is not own:
-            own[...] = u
         self._run(rhs, dt, 1)
-        if u is not own:
-            u[...] = own
         if not self._finite():
             u1, u2 = self.stages[0], self.stages[3]
             stage = 1 if not np.isfinite(u1).all() else (
@@ -146,7 +130,7 @@ class TvdRk3:
             if not self._finite():
                 own[...] = start
                 for k in range(first, first + block):
-                    self.step(own, rhs, dt, k, (k - 1) * dt)
+                    self.step(rhs, dt, k, (k - 1) * dt)
 
 
 def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
@@ -155,7 +139,8 @@ def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     u = np.asarray(u)
-    u = np.array(u, dtype=np.result_type(u, float))
+    stepper = TvdRk3(u.shape, np.result_type(u, float))
+    stepper.u[...] = u
 
     def rhs(v, out):
         out[...] = rhs_fn(v)
@@ -163,8 +148,8 @@ def tvdrk3_step(u, rhs_fn, dt, step_index=None, time=None) -> np.ndarray:
     # an overflow leaves inf in the state, which the step reports; only the
     # check's own u.u can overflow on a finite state
     with np.errstate(over="ignore"):
-        TvdRk3(u.shape, u.dtype).step(u, rhs, dt, step_index, time)
-    return u
+        stepper.step(rhs, dt, step_index, time)
+    return stepper.u.copy()
 
 
 def rk3_amplification(z):

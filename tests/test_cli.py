@@ -608,6 +608,8 @@ def test_bad_flag_value_is_usage_error(capsys):
      "--dt", "0.005"),
     ("run", "--example", "linear", "--N", "20", "--t-final", "0.01",
      "--dt-rule", "half_h2", "--cfl", "5"),
+    # no TDCCS-T8 operator exists on fewer than 5 cells
+    ("stability", "--scheme", "TDCCS-T8", "--n", "4"),
 ])
 @pytest.mark.usefixtures("one_worker")
 def test_out_of_range_input_is_one_line_usage_error(argv, capsys):

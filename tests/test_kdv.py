@@ -67,7 +67,7 @@ def test_error_norms_length_mismatch():
 def test_semidiscrete_rhs_constant_is_zero():
     p = kdv.make_problem("soliton")
     d = kdv.Discretization("TDCNCS", 32, p.length, p.x_lo)
-    rate = kdv.semidiscrete_rhs(p, d, np.full(32, 0.7))
+    rate = kdv.bind_rate(p, d)(np.full(32, 0.7), np.empty(32))
     assert np.max(np.abs(rate)) < 1e-11
 
 
@@ -76,7 +76,7 @@ def test_semidiscrete_rhs_linear_case_analytic():
     p = kdv.make_problem("linear", c=c)
     d = kdv.Discretization("TDCNCS", 64, p.length, p.x_lo)
     x = d.nodes()
-    rate = kdv.semidiscrete_rhs(p, d, np.sin(c * x))
+    rate = kdv.bind_rate(p, d)(np.sin(c * x), np.empty(64))
     assert np.max(np.abs(rate - c * np.cos(c * x))) < 1e-8
 
 
@@ -84,7 +84,7 @@ def test_semidiscrete_rhs_conservative():
     p = kdv.make_problem("soliton")
     d = kdv.Discretization("TDCNCS", 48, p.length, p.x_lo)
     u = p.initial(d.nodes())
-    rate = kdv.semidiscrete_rhs(p, d, u)
+    rate = kdv.bind_rate(p, d)(u, np.empty(48))
     assert abs(np.sum(rate)) < 48 * 1e-12 * np.max(np.abs(rate))
 
 
@@ -127,8 +127,8 @@ def test_dual_centers_sampled_not_interpolated():
 def test_small_grids_apply_the_dense_matrix_exactly(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
-    assert np.array_equal(d.third(v), d.d3_op.dense_matrix() @ v)
-    assert np.array_equal(d.first(v), d.d1_op.dense_matrix() @ v)
+    assert np.array_equal(d.d3_op.apply(v), d.d3_op.dense_matrix() @ v)
+    assert np.array_equal(d.d1_op.apply(v), d.d1_op.dense_matrix() @ v)
 
 
 # circulant sizes 385 = 5*7*11 and 400 = 2^4 * 5^2 factor into primes <= 13
@@ -136,8 +136,8 @@ def test_small_grids_apply_the_dense_matrix_exactly(family, n):
 def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
-    assert np.array_equal(d.third(v), d.d3_op.apply_fft(v))
-    assert np.array_equal(d.first(v), d.d1_op.apply_fft(v))
+    assert np.array_equal(d.d3_op.apply(v), d.d3_op.apply_fft(v))
+    assert np.array_equal(d.d1_op.apply(v), d.d1_op.apply_fft(v))
     assert d.d3_op._dense is None and d.d1_op._dense is None
 
 
@@ -146,8 +146,8 @@ def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
 def test_large_grids_apply_by_banded_solve_without_a_dense_build(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
-    assert np.array_equal(d.third(v), d.d3_op.apply_array(v))
-    assert np.array_equal(d.first(v), d.d1_op.apply_array(v))
+    assert np.array_equal(d.d3_op.apply(v), d.d3_op.apply_array(v))
+    assert np.array_equal(d.d1_op.apply(v), d.d1_op.apply_array(v))
     assert d.d3_op._dense is None and d.d1_op._dense is None
 
 
@@ -301,7 +301,7 @@ def _oracle_run(problem, disc, config):
     dt = t_final / n_steps
 
     def by_rule(op):
-        # the dense/FFT/banded rule of CompactOperator.matvec
+        # the dense/FFT/banded rule of CompactOperator.apply
         if op.size <= DENSE_LIMIT:
             dense = op.dense_matrix()
             return lambda v: dense @ v
@@ -337,9 +337,9 @@ def _oracle_run(problem, disc, config):
     return u, history
 
 
-def _dispersion_limit_10_steps(n):
+def _dispersion_limit_10_steps(n, flt=None):
     h = 1.0 / n
-    return kdv.RunConfig(cfl=50.0, t_final=10 * 50.0 * h ** 3)
+    return kdv.RunConfig(cfl=50.0, t_final=10 * 50.0 * h ** 3, filter=flt)
 
 
 @pytest.mark.parametrize("preset, params, family, n, config", [
@@ -362,6 +362,11 @@ def _dispersion_limit_10_steps(n):
     ("dispersion_limit", {}, "TDCCS", 193, _dispersion_limit_10_steps(193)),
     # a node-only FFT path with a flux: size 400 = 2^4 * 5^2
     ("dispersion_limit", {}, "TDCNCS", 400, _dispersion_limit_10_steps(400)),
+    # states above 1024 entries: a filtered FFT path (size 1200 = 2^4 * 3 *
+    # 5^2) and a banded path (size 1031, a prime)
+    ("dispersion_limit", {}, "TDCCS", 600, _dispersion_limit_10_steps(
+        600, kdv.FilterConfig("F12", 0.4, 3))),
+    ("dispersion_limit", {}, "TDCNCS", 1031, _dispersion_limit_10_steps(1031)),
 ])
 def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     problem = kdv.make_problem(preset, **params)
@@ -442,7 +447,7 @@ def _step_by_step_divergence(problem, disc, config):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError) as err:
         for step in range(1, n_steps + 1):
-            stepper.step(stepper.u, rate, dt, step, (step - 1) * dt)
+            stepper.step(rate, dt, step, (step - 1) * dt)
             if filt is not None and step % config.filter.every == 0:
                 filt.apply(stepper.u, stepper.u)
     return err.value

@@ -243,15 +243,15 @@ def test_filter_matvec_matches_banded_apply(name, grid_kind):
         assert filt._dense is None  # built on the first dense-path apply
         v = rng.normal(size=filt.size)
         ref = filt.apply_array(v)
-        got = filt.matvec(v)
+        got = filt.apply(v)
         assert (filt._dense is not None) == (filt.size <= DENSE_LIMIT)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
         # in place, as the time loop applies it
-        assert np.array_equal(filt.matvec(v, out=v), got)
+        assert np.array_equal(filt.apply(v, out=v), got)
         assert np.array_equal(v, got)
 
 
-# the path matvec takes above the dense limit: the FFT where every prime
+# the path apply takes above the dense limit: the FFT where every prime
 # factor of the size is <= 13, the banded solve elsewhere
 MATVEC_PATHS = {385: "apply_fft", 386: "apply_array", 389: "apply_array",
                 400: "apply_fft", 4096: "apply_fft", 4097: "apply_array",
@@ -271,9 +271,10 @@ def test_matvec_takes_the_path_of_its_size(size, kind):
         op = FilterOperator(filter_by_name("F12", 0.4), size // 2, "dual")
     assert op.size == size
     v = np.random.default_rng(size).normal(size=size)
+    assert op.apply == getattr(op, MATVEC_PATHS[size])
     want = getattr(op, MATVEC_PATHS[size])(v)
-    assert np.array_equal(op.matvec(v), want)
-    assert np.array_equal(op.matvec(v, out=v), want)
+    assert np.array_equal(op.apply(v), want)
+    assert np.array_equal(op.apply(v, out=v), want)
     assert op._dense is None
 
 
@@ -286,11 +287,46 @@ def test_apply_picks_its_path_once_and_writes_into_out(size):
     assert op.apply is apply
     if size <= DENSE_LIMIT:
         assert apply.__self__ is op.dense_matrix()  # the matrix's own dot
-    want = op.matvec(v)
+        want = op.dense_matrix().dot(v)
+    elif size == 389:
+        assert apply == op.apply_array  # the banded solve itself
+        want = op.apply_array(v)
+    else:
+        want = op.apply_fft(v)
     out = np.empty(size)
     assert apply(v, out) is out
     assert out.tobytes() == want.tobytes()
     assert apply(v).tobytes() == want.tobytes()
+
+
+# sizes 385 and 400 take the FFT, whose rfft of one point more or fewer can
+# have the same length; 389 takes the banded solve
+@pytest.mark.parametrize("scheme_id, n", [
+    ("TDCNCS-T8", 385), ("TDCNCS-T8", 389), ("TDCNCS-T8", 400),
+    ("TDCCS-T8", 200),  # a dual FFT path, size 400
+])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_apply_refuses_an_array_of_the_wrong_length(scheme_id, n, delta):
+    op = build_operator(scheme_id, n, 2 * np.pi / n)
+    message = (r"^dual operator expects a fine array of length 2N$"
+               if op.grid_kind == "dual"
+               else rf"^expected {n} values, got {n + delta}$")
+    with pytest.raises(ValueError, match=message):
+        op.apply(np.ones(op.size + delta))
+
+
+@pytest.mark.parametrize("scheme_id, n_min", [("TDCNCS-T8", 8),
+                                               ("TDCCS-T8", 5)])
+def test_operators_and_spectra_share_one_minimum_n(scheme_id, n_min):
+    # node-only and dual ids alike: N at least the stencil half-width in
+    # h/2 units, for an operator as for its circulant eigenvalues
+    assert build_operator(scheme_id, n_min, 0.1).n == n_min
+    assert len(spectral.circulant_eigenvalues(scheme_id, n_min)) > 0
+    message = rf"^N={n_min - 1} too small for stencil half-width {n_min} "
+    with pytest.raises(ValueError, match=message):
+        build_operator(scheme_id, n_min - 1, 0.1)
+    with pytest.raises(ValueError, match=message):
+        spectral.circulant_eigenvalues(scheme_id, n_min - 1)
 
 
 @pytest.mark.parametrize("n", [32, 193, 200])
@@ -303,10 +339,10 @@ def test_dual_filter_filters_each_parity_as_a_node_filter(n):
     rng = np.random.default_rng(11)
     v = np.empty(2 * n)  # nodes at even fine points, centers at odd
     v[0::2], v[1::2] = rng.normal(size=n), rng.normal(size=n)
-    fine = dual.matvec(v)
+    fine = dual.apply(v)
     scale = np.max(np.abs(fine))
-    assert np.max(np.abs(fine[0::2] - node.matvec(v[0::2]))) <= 1e-14 * scale
-    assert np.max(np.abs(fine[1::2] - node.matvec(v[1::2]))) <= 1e-14 * scale
+    assert np.max(np.abs(fine[0::2] - node.apply(v[0::2]))) <= 1e-14 * scale
+    assert np.max(np.abs(fine[1::2] - node.apply(v[1::2]))) <= 1e-14 * scale
     out = dual.apply_array(v)
     assert np.array_equal(out[0::2], node.apply_array(v[0::2]))
     assert np.array_equal(out[1::2], node.apply_array(v[1::2]))

@@ -7,7 +7,6 @@ import pytest
 
 from dispersive_compact.timeint import (
     CHECK_EVERY,
-    FULL_WEIGHTS_LIMIT,
     DivergenceError,
     TvdRk3,
     rk3_amplification,
@@ -128,34 +127,18 @@ def test_the_check_names_each_stage_of_a_complex_state(stage):
     stepper.u[...] = 1.0 - 2.0j
     with np.errstate(invalid="ignore"), pytest.raises(
             DivergenceError, match=f"RK stage {stage} at step 3$"):
-        stepper.step(stepper.u, rhs, 0.1, step_index=3)
+        stepper.step(rhs, 0.1, step_index=3)
 
 
 def _sine_rate(v, out):
     np.multiply(np.sin(v), -1.5, out)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_stepping_another_array_gives_the_bytes_of_stepping_the_own_row(dtype):
-    rng = np.random.default_rng(7)
-    u0 = rng.normal(size=12).astype(dtype)
-    if dtype is complex:
-        u0 += 1j * rng.normal(size=12)
-    own, other = TvdRk3(u0.shape, dtype), TvdRk3(u0.shape, dtype)
-    own.u[...] = u0
-    u = u0.copy()
-    for step, dt in enumerate((0.1, 0.1, 0.03, 0.1)):
-        own.step(own.u, _sine_rate, dt, step_index=step)
-        other.step(u, _sine_rate, dt, step_index=step)
-        assert u.tobytes() == own.u.tobytes()
-    assert not np.array_equal(u, u0)
-
-
 def test_the_stage_rows_hold_the_documented_stages():
     # stages = [u1, u, rate, u2] after a step of u' = -u from u = 1
     stepper = TvdRk3((3,))
     stepper.u[...] = 1.0
-    stepper.step(stepper.u, lambda v, out: np.negative(v, out), 0.1)
+    stepper.step(lambda v, out: np.negative(v, out), 0.1)
     u1, u, rate, u2 = stepper.stages[:, 0]
     assert u1 == 1.0 - 0.1
     assert u2 == 0.75 + 0.25 * u1 - 0.025 * u1
@@ -173,7 +156,7 @@ def test_non_finite_dt_rejected(dt):
         with pytest.raises(ValueError, match="dt must be finite"):
             tvdrk3_step(u, lambda v: v, dt)
         with pytest.raises(ValueError, match="dt must be finite"):
-            stepper.step(u, lambda v, out: np.copyto(out, v), dt)
+            stepper.step(lambda v, out: np.copyto(out, v), dt)
         with pytest.raises(ValueError, match="dt must be finite"):
             stepper.advance(lambda v, out: np.copyto(out, v), dt, 5)
     assert np.array_equal(u, np.ones(3))
@@ -195,7 +178,7 @@ def _step_by_step_error(rhs, dt, steps):
     stepper.u[...] = 1.0
     with pytest.raises(DivergenceError) as err:
         for k in range(1, steps + 1):
-            stepper.step(stepper.u, rhs, dt, k, (k - 1) * dt)
+            stepper.step(rhs, dt, k, (k - 1) * dt)
     return err.value
 
 
@@ -239,9 +222,8 @@ def test_advance_numbers_its_steps_from_first_step():
         10, 4.5)
 
 
-# full weight rows up to the limit, (3, 1) rows above it
-@pytest.mark.parametrize("shape", [
-    (), (5,), (2, 3), (FULL_WEIGHTS_LIMIT,), (FULL_WEIGHTS_LIMIT + 1,)])
+# every shape multiplies full weight rows, (3,) ones for a scalar state
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (1024,), (1025,)])
 def test_step_and_advance_give_the_bytes_of_the_plain_loop(shape):
     rng = np.random.default_rng(11)
     u = rng.normal(size=shape)
@@ -253,7 +235,7 @@ def test_step_and_advance_give_the_bytes_of_the_plain_loop(shape):
         return np.sin(v) * -1.5
 
     for _ in range(steps):
-        own.step(own.u, _sine_rate, dt)
+        own.step(_sine_rate, dt)
         u1 = u + dt * rate(u)
         u2 = 0.75 * u + 0.25 * u1 + (0.25 * dt) * rate(u1)
         u = (1.0 / 3.0) * u + (2.0 / 3.0) * u2 + (2.0 / 3.0 * dt) * rate(u2)
