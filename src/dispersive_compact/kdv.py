@@ -62,11 +62,12 @@ def _linear(c=1.0):
     (c,) = _checked(c=c)
     if c == 0 or not c.is_integer():  # sin(c x) is 2 pi-periodic for whole c only
         raise ValueError(f"c must be a nonzero integer, got {c}")
+    (eps,) = _checked(("eps",), eps=c ** -2)
     return KdvProblem(
         name="linear",
         x_lo=0.0, x_hi=2.0 * np.pi,
         kappa=0.0,
-        epsilon=c ** -2,
+        epsilon=eps,
         initial=lambda x: np.sin(c * x),
         exact=lambda x, t: np.sin(c * (x + t)),
         t_final=1.0,

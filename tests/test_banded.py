@@ -1,13 +1,16 @@
 """Cyclic banded solver against the dense oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
+from dispersive_compact import banded
 from dispersive_compact.banded import (
     DENSE_LIMIT,
     CyclicBandedSolver,
@@ -246,3 +249,15 @@ def test_solve_columns_is_solve_on_each_column(alpha, beta):
         want = np.column_stack([solver.solve(col) for col in block.T])
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes(), n
+
+
+def test_missing_lapack_extension_names_the_directory_searched(monkeypatch,
+                                                                tmp_path):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    banded._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError,
+                           match=re.escape(str(tmp_path / "linalg"))):
+            banded._lapack()
+    finally:
+        banded._lapack.cache_clear()

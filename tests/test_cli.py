@@ -203,11 +203,12 @@ ANALYSIS_ARGV = [
 def test_lapack_loads_only_for_a_banded_path_solver():
     # a fresh interpreter, since this one has loaded scipy.linalg already.
     # The analysis commands and the dense-path runs (a node run at N = 20, a
-    # filtered dual one at N = 40) must not load it; a band above the dense
-    # limit must, or the check proves nothing
+    # filtered dual one at N = 40) must load neither it nor LAPACK; a band
+    # above the dense limit must load LAPACK, or the check proves nothing,
+    # and still not scipy.linalg
     script = f"""
 import sys
-from dispersive_compact import cli, kdv
+from dispersive_compact import banded, cli, kdv, operators
 for argv in {ANALYSIS_ARGV!r}:
     assert cli.dispatch(argv) == 0, argv
 assert "scipy.linalg" not in sys.modules, "loaded by the analysis"
@@ -220,8 +221,22 @@ config = kdv.RunConfig(dt_rule="half_h2", t_final=0.01,
                        filter=kdv.FilterConfig("F12", 0.4, 1))
 kdv.integrate(problem, disc, config)
 assert "scipy.linalg" not in sys.modules, "loaded by a dense-path run"
-kdv.Discretization("TDCNCS", 389, 1.0)
-assert "scipy.linalg" in sys.modules, "not loaded by a banded-path solver"
+assert banded._lapack.cache_info().currsize == 0, "LAPACK loaded too early"
+# a band above the dense limit, tri- and pentadiagonal, loads LAPACK's
+# extension by itself; scipy.linalg imported afterwards gives the same bits
+import numpy as np
+tri = kdv.Discretization("TDCNCS", 389, 1.0).d3_op.solver
+assert banded._lapack.cache_info().currsize == 1, "not loaded by a band"
+penta = operators.CompactOperator("TDCCS-P10", 400, 1.0).solver
+assert (tri.bandwidth, penta.bandwidth) == (1, 2)
+assert "scipy.linalg" not in sys.modules, "loaded by a banded-path solver"
+from scipy.linalg import solve_banded
+rng = np.random.default_rng(20)
+for solver in (tri, penta):
+    p, n = solver.bandwidth, solver.n
+    rhs = rng.standard_normal(n)
+    oracle = solver._correct(solve_banded((p, p), solver._ab, rhs))
+    assert solver.solve(rhs).tobytes() == oracle.tobytes(), p
 """
     src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -588,6 +603,9 @@ def test_bad_flag_value_is_usage_error(capsys):
     ("run", "--example", "linear", "--c", "1e-320"),
     ("run", "--example", "linear", "--c", "nan"),
     ("run", "--example", "linear", "--c", "inf"),
+    # epsilon = c**-2 underflows to 0.0
+    ("run", "--example", "linear", "--c", "1e200", "--N", "20",
+     "--t-final", "0.001"),
     ("run", "--example", "single_soliton", "--eps", "0"),
     ("run", "--example", "single_soliton", "--c", "-0.3"),
     ("run", "--example", "single_soliton", "--x0", "inf"),
