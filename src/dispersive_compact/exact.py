@@ -2,17 +2,19 @@
 
 All stencils are described by a :class:`SchemeTemplate` whose tap offsets are
 measured in units of h/2, so cell nodes sit at even offsets and cell centers
-at odd offsets.  Coefficients are derived by Taylor matching in exact rational
-arithmetic and checked against a built-in catalogue.
+at odd offsets.  Coefficients are derived by Taylor matching and checked
+against a built-in catalogue.  Each Taylor degree's condition is summed as one
+row of integers, scaled by a positive factor, and the system is solved by
+fraction-free elimination, so the only Fractions are the exact rational
+coefficients, the unscaled ``order_conditions`` and the truncation constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Sequence
 
 F = Fraction
 
@@ -111,6 +113,72 @@ class SchemeTemplate:
             raise ValueError(
                 f"N={n} too small for stencil half-width {half_width} (h/2 units)")
 
+    def taylor_row(self, degree: int) -> tuple[tuple[int, ...], int]:
+        """(row, scale): Taylor degree n's condition sum(coef * unknown) +
+        const = 0 over (a, b, c, alpha, beta, const), times the positive
+        scale 2^n n! L, L the lcm of the tap-weight denominators.  So an
+        offset s adds L w s^n on the right and 2^d L s^(n-d) n!/(n-d)! on
+        the left, all integers.  Summed once per (template, degree)."""
+        rows = self._taylor_rows
+        if degree not in rows:
+            lcm, groups = self._integer_taps
+            row = [0] * len(_COLUMNS)
+            for slot, taps in groups:
+                row[_COLUMN[slot]] -= sum(w * off ** degree for off, w in taps)
+            d = self.derivative_order
+            if degree >= d:
+                lift = (lcm << d) * math.perm(degree, d)
+                for off, slot in self.lhs_offsets:
+                    row[_COLUMN[slot]] += lift * off ** (degree - d)
+            rows[degree] = tuple(row), (lcm << degree) * math.factorial(degree)
+        return rows[degree]
+
+    def condition_rows(self, max_order: int) -> tuple:
+        """The ``taylor_row`` of each order condition up to ``max_order``:
+        degrees that vanish by parity or lie below the derivative order are
+        checked to vanish (a positive scale keeps which entries are zero) and
+        skipped.  Collected once per max order."""
+        conditions = self._condition_rows.get(max_order)
+        if conditions is not None:
+            return conditions
+        if max_order < 0 or max_order % 2 != 0:
+            raise ValueError("max_order must be even and non-negative")
+        d = self.derivative_order
+        conditions = []
+        for degree in range(0, d + max_order - 1):
+            row, scale = self.taylor_row(degree)
+            if (degree - d) % 2 == 1:
+                # wrong parity: both sides must vanish identically
+                if any(row):
+                    raise TemplateError(f"parity violation at Taylor degree {degree}")
+            elif degree < d:
+                if any(row):
+                    raise TemplateError(
+                        f"RHS reproduces a spurious derivative of degree {degree}"
+                    )
+            else:
+                conditions.append((row, scale))
+        self._condition_rows[max_order] = conditions = tuple(conditions)
+        return conditions
+
+    @functools.cached_property
+    def _integer_taps(self):
+        """(L, ((slot, ((offset, L * weight), ...)), ...)) of the validated
+        template, L the lcm of the tap-weight denominators."""
+        self.validate()
+        lcm = math.lcm(*(Fraction(w).denominator
+                         for g in self.rhs_groups for _, w in g.taps))
+        return lcm, tuple((g.slot, tuple((off, int(w * lcm)) for off, w in g.taps))
+                          for g in self.rhs_groups)
+
+    @functools.cached_property
+    def _taylor_rows(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def _condition_rows(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
@@ -153,56 +221,9 @@ class TruncationLead:
         return float(self.constant_q)
 
 
-def _lhs_taylor_coeff(template: SchemeTemplate, degree: int) -> dict[str, Fraction]:
-    """Coefficient of f^(degree) * h^(degree-d) on the left-hand side.
-
-    The LHS applies the d-th derivative at the listed offsets, so the degree-n
-    contribution of offset s is (s/2)^(n-d) / (n-d)!.
-    """
-    d = template.derivative_order
-    out = {"one": F(0), "alpha": F(0), "beta": F(0)}
-    if degree < d:
-        return out
-    p = degree - d
-    for off, slot in template.lhs_offsets:
-        out[slot] += F(off, 2) ** p / math.factorial(p)
-    return out
-
-
-def _rhs_taylor_coeff(template: SchemeTemplate, degree: int) -> dict[str, Fraction]:
-    """Coefficient of f^(degree) * h^(degree-d) on the right-hand side."""
-    out = {g.slot: F(0) for g in template.rhs_groups}
-    fact = math.factorial(degree)
-    for group in template.rhs_groups:
-        acc = F(0)
-        for off, w in group.taps:
-            acc += w * F(off, 2) ** degree
-        out[group.slot] += acc / fact
-    return out
-
-
-# template -> {degree: read-only (lhs, rhs) Taylor coefficients}; a caller
-# fetches its template's dict once, since a template hashes all its Fractions
-_taylor_cache: dict[SchemeTemplate, dict[int, tuple]] = {}
-
-
-def _taylor_rows(template: SchemeTemplate):
-    """degree -> (lhs, rhs) of one template, each row summed once per
-    process."""
-    rows = _taylor_cache.setdefault(template, {})
-
-    def row(degree: int):
-        if degree not in rows:
-            rows[degree] = (MappingProxyType(_lhs_taylor_coeff(template, degree)),
-                            MappingProxyType(_rhs_taylor_coeff(template, degree)))
-        return rows[degree]
-
-    return row
-
-
-# (template, max_order) -> the conditions, each built once per process and
-# handed out as fresh dicts
-_conditions_cache: dict[tuple[SchemeTemplate, int], tuple] = {}
+# the entries of a Taylor row; the unit LHS diagonal "one" is its constant
+_COLUMNS = ALL_UNKNOWNS + ("const",)
+_COLUMN = {**{u: i for i, u in enumerate(_COLUMNS)}, "one": len(ALL_UNKNOWNS)}
 
 
 def order_conditions(
@@ -215,59 +236,38 @@ def order_conditions(
     Degrees that vanish identically by parity are checked and skipped.  The
     list and its dicts are the caller's own.
     """
-    key = (template, max_order)
-    conditions = _conditions_cache.get(key)
-    if conditions is None:
-        conditions = tuple(_build_conditions(template, max_order))
-        _conditions_cache[key] = conditions
-    return [dict(eq) for eq in conditions]
+    return [{u: Fraction(v, scale) for u, v in zip(_COLUMNS, row)}
+            for row, scale in template.condition_rows(max_order)]
 
 
-def _build_conditions(template: SchemeTemplate, max_order: int):
-    template.validate()
-    if max_order < 0 or max_order % 2 != 0:
-        raise ValueError("max_order must be even and non-negative")
-    d = template.derivative_order
-    row = _taylor_rows(template)
-    conditions: list[dict[str, Fraction]] = []
-    for degree in range(0, d + max_order - 1):
-        lhs, rhs = row(degree)
-        if (degree - d) % 2 == 1:
-            # wrong parity: both sides must vanish identically
-            if any(v != 0 for v in lhs.values()) or any(v != 0 for v in rhs.values()):
-                raise TemplateError(f"parity violation at Taylor degree {degree}")
-            continue
-        if degree < d:
-            if any(v != 0 for v in rhs.values()):
-                raise TemplateError(
-                    f"RHS reproduces a spurious derivative of degree {degree}"
-                )
-            continue
-        conditions.append(_condition(lhs, rhs))
-    return conditions
+def solve_fraction_free(rows, rhs) -> tuple[list[int], int]:
+    """Solve the integer system ``rows @ x = rhs`` by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
 
-
-def _solve_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction]:
-    """Gaussian elimination over the rationals; raises on a singular system."""
+    Every division is exact, so the entries stay integers and each step's
+    pivot is a minor of the row-swapped matrix.  Returns the numerators and
+    the last pivot, that matrix's determinant: x = numerators / determinant.
+    Raises ``DerivationError`` on a non-square or a singular system.
+    """
     n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     m = len(rows[0]) if rows else 0
     if n != m:
         raise DerivationError(f"system is {n}x{m}, expected square")
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise DerivationError(f"singular system at column {col}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / pv
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        prow = aug[col]
+        pv = prow[col]
+        for r, row in enumerate(aug):
+            if r != col:
+                f = row[col]
+                aug[r] = [(pv * v - f * w) // det for v, w in zip(row, prow)]
+        det = pv
+    return [row[n] for row in aug], det
 
 
 def derive_coefficients(
@@ -281,22 +281,23 @@ def derive_coefficients(
     present = {g.slot for g in template.rhs_groups}
     present |= {slot for _, slot in template.lhs_offsets if slot != "one"}
     unknowns = [u for u in ALL_UNKNOWNS if u in present and u not in zero_slots]
-    conditions = order_conditions(template, target_order)
+    conditions = template.condition_rows(target_order)
     if len(conditions) != len(unknowns):
         raise DerivationError(
             f"{len(conditions)} conditions for {len(unknowns)} unknowns "
             f"(order {target_order}, free: {unknowns})"
         )
-    rows = [[eq[u] for u in unknowns] for eq in conditions]
-    rhs = [-eq["const"] for eq in conditions]
-    solution = dict(zip(unknowns, _solve_exact(rows, rhs)))
-    values = {u: solution.get(u, F(0)) for u in ALL_UNKNOWNS}
-    coeffs = SchemeCoefficients(family=family, formal_order=target_order, **values)
-    for degree, eq in enumerate(conditions):
-        residual = eq["const"] + sum(eq[u] * values[u] for u in ALL_UNKNOWNS)
-        if residual != 0:
+    cols = [_COLUMN[u] for u in unknowns]
+    nums, det = solve_fraction_free(
+        [[row[j] for j in cols] for row, _ in conditions],
+        [-row[-1] for row, _ in conditions])
+    for degree, (row, _) in enumerate(conditions):
+        # the condition times its scale and the determinant
+        if row[-1] * det + sum(row[j] * x for j, x in zip(cols, nums)) != 0:
             raise DerivationError(f"nonzero residual in condition {degree}")
-    return coeffs
+    values = dict.fromkeys(ALL_UNKNOWNS, F(0))
+    values.update((u, F(x, det)) for u, x in zip(unknowns, nums))
+    return SchemeCoefficients(family=family, formal_order=target_order, **values)
 
 
 def leading_truncation_error(
@@ -307,33 +308,23 @@ def leading_truncation_error(
     The constant is the raw per-equation residual (left side minus right
     side), not divided by the implicit LHS row sum.
     """
-    template.validate()
     d = template.derivative_order
-    values = coeffs.as_dict()
+    values = [getattr(coeffs, u) for u in ALL_UNKNOWNS]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     degree = d + coeffs.formal_order
-    row = _taylor_rows(template)
     for _ in range(16):
-        eq = _condition(*row(degree))
-        residual = eq["const"] + sum(eq[u] * values[u] for u in ALL_UNKNOWNS)
+        row, scale = template.taylor_row(degree)
+        # the residual times the row's scale and the common denominator
+        residual = row[-1] * den + sum(r * x for r, x in zip(row, nums))
         if residual != 0:
             return TruncationLead(
-                constant_q=residual,
+                constant_q=Fraction(residual, den * scale),
                 derivative_index=degree,
                 power_of_h=degree - d,
             )
         degree += 2
     raise DerivationError("no unmatched Taylor degree found")
-
-
-def _condition(lhs, rhs) -> dict[str, Fraction]:
-    """One degree's Taylor coefficients as sum(coef * unknown) + const = 0."""
-    eq = {k: F(0) for k in ALL_UNKNOWNS}
-    eq["alpha"] = lhs["alpha"]
-    eq["beta"] = lhs["beta"]
-    eq["const"] = lhs["one"]
-    for slot, v in rhs.items():
-        eq[slot] -= v
-    return eq
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,9 @@ class RunConfig:
                 f"t_final must be finite and non-negative, got {self.t_final}")
 
     def timestep(self, h: float) -> float:
+        """The rule's nominal step at spacing ``h``.  ``cfl_h3``, the paper's
+        rule, is cfl * h^3 whatever eps and the operator are, so it sits at a
+        different fraction of each run's own dispersive bound (README)."""
         if self.dt_rule == "cfl_h3":
             return (0.01 if self.cfl is None else self.cfl) * h ** 3
         if self.dt_rule == "half_h2":

@@ -197,19 +197,16 @@ def derive_filter(n_half_width: int, alpha_f: float) -> FilterSpec:
         raise ValueError("half width must be >= 1")
     nh = n_half_width
     af = Fraction(alpha_f).limit_denominator(10**12)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # moment conditions: sum a_n n^(2q) == LHS moment
-    for q in range(nh):
-        rows.append([Fraction(n) ** (2 * q) for n in range(nh + 1)])
-        rhs.append(Fraction(1) + 2 * af if q == 0 else 2 * af)
-    rows.append([Fraction(-1) ** n for n in range(nh + 1)])
-    rhs.append(Fraction(0))
-    a_exact = exact._solve_exact(rows, rhs)
+    # moment conditions sum a_n n^(2q) == LHS moment, and the Nyquist mode,
+    # in integers: the right side times alpha_f's denominator
+    rows = [[n ** (2 * q) for n in range(nh + 1)] for q in range(nh)]
+    rows.append([(-1) ** n for n in range(nh + 1)])
+    rhs = [af.denominator + 2 * af.numerator] + [2 * af.numerator] * (nh - 1) + [0]
+    nums, det = exact.solve_fraction_free(rows, rhs)
     return FilterSpec(
         alpha_f=float(alpha_f),
         order=2 * nh,
-        a_exact=tuple(a_exact),
+        a_exact=tuple(Fraction(x, det * af.denominator) for x in nums),
     )
 
 

@@ -149,6 +149,20 @@ def test_run_snapshot_is_the_pinned_bytes(argv, golden, tmp_path):
     assert snap.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# written before the Taylor rows were summed and eliminated in integers
+DERIVED_ONLY_IDS = [f"TDCCS-{k}-{v}" for k in (1, 2, 3)
+                    for v in ("T4", "T6", "T8", "P10")] + ["CNCS-T8", "CCS-T8"]
+
+
+def test_derived_coefficients_are_the_pinned_json_bytes(capsys):
+    out = []
+    for scheme_id in DERIVED_ONLY_IDS:
+        capsys.readouterr()
+        assert run_cli("coeffs", "--scheme", scheme_id, "--format", "json") == EXIT_OK
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / "coeffs_derived.json").read_text()
+
+
 @pytest.mark.parametrize("samples", ["1", "0", "-3"])
 def test_filter_analyze_refuses_fewer_than_two_samples_like_spectrum(
         samples, tmp_path, capsys):

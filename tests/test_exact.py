@@ -1,16 +1,20 @@
 """Exact rational derivation of scheme coefficients."""
 
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import taylor_oracle
 from dispersive_compact import exact
 
 
 def order_conditions_single(template, degree):
-    """The single linear constraint arising from one Taylor degree, through
-    the same cached rows as ``exact.order_conditions``."""
-    return exact._condition(*exact._taylor_rows(template)(degree))
+    """The single linear constraint arising from one Taylor degree, from the
+    same cached integer row as ``exact.order_conditions``."""
+    row, scale = template.taylor_row(degree)
+    return {u: F(v, scale) for u, v in zip(exact._COLUMNS, row)}
 
 
 def test_template_validation_rejects_bad_parity():
@@ -151,3 +155,80 @@ def test_catalogued_ids_listed_once_before_and_after_derivation():
     after = exact.catalogued_scheme_ids()
     assert after == before
     assert len(set(after)) == len(after) == 49
+
+
+@pytest.mark.parametrize("family", list(exact._FAMILY_TEMPLATES))
+def test_integer_rows_are_the_fraction_conditions_times_their_scale(family):
+    # the integer rows against the Fraction sums they replaced
+    template = exact.family_template(family)
+    for degree in range(25):
+        row, scale = template.taylor_row(degree)
+        assert scale > 0 and all(type(v) is int for v in (*row, scale))
+        assert order_conditions_single(template, degree) == \
+            taylor_oracle.condition(template, degree), degree
+    assert exact.order_conditions(template, 12) == \
+        taylor_oracle.order_conditions(template, 12)
+
+
+@pytest.mark.parametrize("scheme_id", exact.catalogued_scheme_ids())
+def test_truncation_lead_is_the_fraction_residual(scheme_id):
+    template, coeffs = exact.builtin_scheme(scheme_id)
+    lead = exact.leading_truncation_error(template, coeffs)
+    constant, degree = taylor_oracle.leading_truncation_error(template, coeffs)
+    assert (lead.constant_q, lead.derivative_index) == (constant, degree)
+    assert lead.power_of_h == degree - template.derivative_order
+
+
+def _solve(rows, rhs):
+    nums, det = exact.solve_fraction_free(rows, rhs)
+    assert all(type(v) is int for v in (*nums, det))
+    return [F(x, det) for x in nums], det
+
+
+def test_solver_names_the_column_of_a_singular_system():
+    with pytest.raises(exact.DerivationError, match="singular system at column 1"):
+        exact.solve_fraction_free([[1, 2, 3], [2, 4, 7], [3, 6, 1]], [1, 2, 3])
+    with pytest.raises(exact.DerivationError, match="singular system at column 0"):
+        exact.solve_fraction_free([[0, 1], [0, 2]], [1, 2])
+
+
+def test_solver_refuses_a_system_that_is_not_square():
+    with pytest.raises(exact.DerivationError, match="2x3, expected square"):
+        exact.solve_fraction_free([[1, 2, 3], [4, 5, 6]], [1, 2])
+
+
+def test_solver_swaps_rows_past_a_zero_leading_pivot():
+    x, _ = _solve([[0, 2, 1], [3, 0, 0], [0, 0, 5]], [7, 6, 10])
+    assert x == [F(2), F(5, 2), F(2)]
+
+
+def test_solver_signs_the_solution_of_a_negative_determinant():
+    x, det = _solve([[1, 2], [3, 4]], [5, 6])
+    assert det == -2
+    assert x == [F(-4), F(9, 2)]
+    x, det = _solve([[-3]], [2])
+    assert (x, det) == ([F(-2, 3)], -3)
+
+
+def test_solver_is_exact_on_random_integer_systems():
+    rng = random.Random(2101)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+                for _ in range(n)]
+        rhs = [rng.randint(-50, 50) for _ in range(n)]
+        try:
+            x, det = _solve(rows, rhs)
+        except exact.DerivationError:
+            assert np.linalg.matrix_rank(np.array(rows, dtype=float)) < n
+            continue
+        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+        assert abs(det) == abs(round(np.linalg.det(np.array(rows, dtype=float))))
+
+
+def test_largest_catalogue_denominators_are_derived_exactly():
+    zero, order = exact.VARIANT_CONSTRAINTS["P10"]
+    derived = exact.derive_coefficients(exact.TDCCCS_TEMPLATE, zero, order)
+    assert derived.b == F(677644345, 451853286)
+    assert derived.beta == F(15505921, 451853286)
+    assert max(v.denominator for v in derived.as_dict().values()) == 451853286

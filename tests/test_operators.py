@@ -1,5 +1,7 @@
 """Periodic operator application: derivatives, interpolation, filters."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dispersive_compact import exact, spectral
 from dispersive_compact.banded import SingularOperatorError, check_invertible
 from dispersive_compact.operators import (
     DENSE_LIMIT,
+    FILTER_ORDERS,
     CompactOperator,
     FilterOperator,
     build_operator,
@@ -171,6 +174,15 @@ def test_grid_too_small_rejected():
 
 
 # -- filters ---------------------------------------------------------------
+
+def test_filter_coefficients_are_the_pinned_fractions():
+    # written before the filter rows were eliminated in integers
+    lines = [" ".join(map(str, [name, repr(alpha_f),
+                                *filter_by_name(name, alpha_f).a_exact]))
+             for name in FILTER_ORDERS for alpha_f in (0.4, 0.45, -0.3)]
+    golden = pathlib.Path(__file__).parent / "golden" / "filter_a_exact.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()
+
 
 def test_filter_moment_conditions_exact():
     from fractions import Fraction
