@@ -44,9 +44,7 @@ from .spectral import (
     EfficiencyResult,
     circulant_eigenvalues,
     ls_optimize,
-    max_stable_timestep,
     modified_wavenumber,
-    relative_factor,
     resolving_efficiency,
     scheme_symbol,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "leading_truncation_error",
     "ls_optimize",
     "make_problem",
-    "max_stable_timestep",
     "modified_wavenumber",
-    "relative_factor",
     "resolving_efficiency",
     "rk3_amplification",
     "scheme_symbol",

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -90,9 +91,9 @@ def build_parser() -> _Parser:
         p.add_argument("--eps", type=float)
         p.add_argument("--x0", type=float)
         p.add_argument("--scheme", default="TDCNCS",
-                       help="family: tdcncs or tdccs")
+                       help="family: " + " or ".join(kdv.FAMILY_OPS).lower())
         p.add_argument("--dt-rule", dest="dt_rule", default="cfl_h3",
-                       choices=["cfl_h3", "half_h2", "h2", "fixed"])
+                       choices=list(kdv.DT_RULES))
         p.add_argument("--cfl", type=float,
                        help="with --dt-rule cfl_h3 only (default 0.01)")
         p.add_argument("--dt", type=float, help="with --dt-rule fixed only")
@@ -192,6 +193,15 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
         command.set_defaults(**file_cfg)
         args = parser.parse_args(argv)
     return args, {k: v for k, v in vars(args).items() if k not in _META}
+
+
+def _check_output_dirs(cfg):
+    """Refuse an output path in a missing directory before any computation."""
+    for key in ("out", "snapshot", "json"):
+        path = cfg.get(key)
+        folder = os.path.dirname(path or "")
+        if folder and not os.path.isdir(folder):
+            raise UsageError(f"--{key} {path}: directory {folder} does not exist")
 
 
 def _output(path):
@@ -320,10 +330,9 @@ def parse_filter_flag(text: str) -> kdv.FilterConfig:
 
 def _family_from_cfg(cfg) -> str:
     fam = cfg["scheme"].upper()
-    if fam not in ("TDCNCS", "TDCCS"):
-        raise UsageError(
-            f"unknown experiment scheme {cfg['scheme']!r}; valid: tdcncs, tdccs"
-        )
+    if fam not in kdv.FAMILY_OPS:
+        raise UsageError(f"unknown experiment scheme {cfg['scheme']!r}; "
+                         f"valid: {', '.join(kdv.FAMILY_OPS).lower()}")
     return fam
 
 
@@ -390,8 +399,7 @@ def _cmd_converge(cfg) -> int:
         ns = [int(s) for s in cfg["ns"].split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad --Ns value {cfg['ns']!r}") from None
-    # built here only to reject bad presets and parameters before any worker
-    # process starts; each worker builds its own copy
+    # built here only to refuse bad presets and parameters as usage errors
     _make_problem(cfg)
     report = kdv.convergence_study(
         cfg["example"], family, ns, _run_config(cfg), _problem_params(cfg))
@@ -425,6 +433,7 @@ def dispatch(argv=None) -> int:
         if args.dump_config:
             _write_json(args.dump_config, dict(sorted(cfg.items())))
             return EXIT_OK
+        _check_output_dirs(cfg)
         return _HANDLERS[args.command](cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -441,7 +450,7 @@ def dispatch(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
-        # an output path that cannot be written, e.g. in a missing directory
+        # an output path that cannot be written, e.g. a directory
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

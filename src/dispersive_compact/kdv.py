@@ -234,11 +234,12 @@ class DualGridFunction:
         return self.domain_start + 0.5 * self.h * np.arange(2 * self.n)
 
 
-_FAMILY_OPS = {
+FAMILY_OPS = {
     # family -> (third-derivative scheme, first-derivative scheme)
     "TDCNCS": ("TDCNCS-T8", "CNCS-T8"),
     "TDCCS": ("TDCCS-T8", "CCS-T8"),
 }
+
 
 class Discretization:
     """Operators of one scheme family on a fixed periodic grid.
@@ -248,13 +249,14 @@ class Discretization:
     """
 
     def __init__(self, family: str, n: int, length: float, x_lo: float = 0.0):
-        if family not in _FAMILY_OPS:
-            raise KeyError(f"unknown family {family!r}; valid: TDCNCS, TDCCS")
+        if family not in FAMILY_OPS:
+            raise KeyError(f"unknown family {family!r}; "
+                           f"valid: {', '.join(FAMILY_OPS)}")
         self.family = family
         self.n = _whole("N", n, 1)
         self.h = length / self.n
         self.x_lo = float(x_lo)
-        self.third_scheme, self.first_scheme = _FAMILY_OPS[family]
+        self.third_scheme, self.first_scheme = FAMILY_OPS[family]
         self.d3_op = CompactOperator(self.third_scheme, self.n, self.h)
         self.d1_op = CompactOperator(self.first_scheme, self.n, self.h)
         if self.d3_op.grid_kind != self.d1_op.grid_kind:
@@ -326,9 +328,20 @@ class FilterConfig:
         _whole("filter cadence", self.every, 1)
 
 
+# dt rule -> its nominal step at spacing h, given RunConfig's cfl and dt.
+# cfl_h3, the paper's rule, reads neither eps nor the operator, so it sits at
+# a different fraction of each run's own dispersive bound (README).
+DT_RULES = {
+    "cfl_h3": lambda h, cfl, dt: (0.01 if cfl is None else cfl) * h ** 3,
+    "half_h2": lambda h, cfl, dt: 0.5 * h * h,
+    "h2": lambda h, cfl, dt: h * h,
+    "fixed": lambda h, cfl, dt: dt,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    dt_rule: str = "cfl_h3"  # cfl_h3 | half_h2 | h2 | fixed
+    dt_rule: str = "cfl_h3"  # a key of DT_RULES
     cfl: float | None = None  # cfl_h3 only; None: 0.01
     dt: float | None = None  # given with dt_rule == "fixed" and only with it
     filter: FilterConfig | None = None
@@ -336,16 +349,16 @@ class RunConfig:
     t_final: float | None = None  # None: problem default
 
     def __post_init__(self):
-        if self.dt_rule not in ("cfl_h3", "half_h2", "h2", "fixed"):
+        if self.dt_rule not in DT_RULES:
             raise ValueError(f"unknown dt rule {self.dt_rule!r}")
         _whole("record_every", self.record_every, 0)
-        if self.cfl is not None and not (math.isfinite(self.cfl) and self.cfl > 0):
-            raise ValueError(f"cfl must be finite and positive, got {self.cfl}")
-        if self.cfl is not None and self.dt_rule != "cfl_h3":
-            raise ValueError(f"a cfl goes with dt_rule 'cfl_h3' only; "
-                             f"got dt_rule {self.dt_rule!r} and cfl {self.cfl}")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if self.cfl is not None:
+            _checked(("cfl",), cfl=self.cfl)
+            if self.dt_rule != "cfl_h3":
+                raise ValueError(f"a cfl goes with dt_rule 'cfl_h3' only; got "
+                                 f"dt_rule {self.dt_rule!r} and cfl {self.cfl}")
+        if self.dt is not None:
+            _checked(("dt",), dt=self.dt)
         if (self.dt is not None) != (self.dt_rule == "fixed"):
             raise ValueError(f"a dt goes with dt_rule 'fixed' and only with it; "
                              f"got dt_rule {self.dt_rule!r} and dt {self.dt}")
@@ -355,16 +368,8 @@ class RunConfig:
                 f"t_final must be finite and non-negative, got {self.t_final}")
 
     def timestep(self, h: float) -> float:
-        """The rule's nominal step at spacing ``h``.  ``cfl_h3``, the paper's
-        rule, is cfl * h^3 whatever eps and the operator are, so it sits at a
-        different fraction of each run's own dispersive bound (README)."""
-        if self.dt_rule == "cfl_h3":
-            return (0.01 if self.cfl is None else self.cfl) * h ** 3
-        if self.dt_rule == "half_h2":
-            return 0.5 * h * h
-        if self.dt_rule == "h2":
-            return h * h
-        return self.dt
+        """The rule's nominal step at spacing ``h`` (``DT_RULES``)."""
+        return DT_RULES[self.dt_rule](h, self.cfl, self.dt)
 
 
 @dataclass
@@ -469,16 +474,10 @@ def integrate(problem: KdvProblem, disc: Discretization,
         ) from None
 
     mass1 = disc.h * float(np.sum(disc.node_values(values)))
-    norms = _norms_vs_exact(problem, disc, values, t_final)
+    norms = None if problem.exact is None else error_norms(
+        disc.node_values(values), problem.exact(disc.nodes(), t_final))
     return RunResult(problem, disc, disc.wrap(values), t_final, n_steps, dt,
                      norms, mass0, mass1, mass_scale, history)
-
-
-def _norms_vs_exact(problem, disc, values, t):
-    if problem.exact is None:
-        return None
-    return error_norms(disc.node_values(values),
-                       problem.exact(disc.nodes(), t))
 
 
 def error_norms(numeric: np.ndarray, exact: np.ndarray):
@@ -538,10 +537,7 @@ def _study_worker(args):
     preset, params, family, n, config = args
     problem = make_problem(preset, **params)
     disc = Discretization(family, n, problem.length, problem.x_lo)
-    result = integrate(problem, disc, config)
-    if result.norms is None:
-        raise ValueError(f"preset {preset!r} has no exact solution")
-    return result.norms
+    return integrate(problem, disc, config).norms
 
 
 def max_workers() -> int:
@@ -563,12 +559,15 @@ def convergence_study(preset: str, family: str, ns: list[int],
                       config: RunConfig,
                       params: dict | None = None) -> ConvergenceReport:
     """Errors per N, each N run in a pool of up to ``max_workers()``
-    processes; with one worker, or one N, the runs stay in this process."""
+    processes; with one worker, or one N, the runs stay in this process.
+    A preset without an exact solution is refused before any run."""
     if not ns:
         raise ValueError("Ns must list at least one N")
     if list(ns) != sorted(set(ns)):
         raise ValueError("Ns must be strictly increasing")
     params = dict(params or {})
+    if make_problem(preset, **params).exact is None:
+        raise ValueError(f"preset {preset!r} has no exact solution")
     jobs = [(preset, params, family, n, config) for n in ns]
     workers = min(max_workers(), len(jobs))
     if workers > 1:
@@ -580,7 +579,7 @@ def convergence_study(preset: str, family: str, ns: list[int],
     else:
         errors = [_study_worker(job) for job in jobs]
     return ConvergenceReport(
-        problem_id=preset, scheme_id=_FAMILY_OPS[family][0],
+        problem_id=preset, scheme_id=FAMILY_OPS[family][0],
         ns=list(ns), errors=errors,
     )
 

@@ -3,7 +3,7 @@
 Every symbol is evaluated here: the grid (DFT) symbol of a periodic circulant
 that operators apply, modified wavenumbers, interpolation/filter transfer
 functions, bandwidth resolving efficiency, least-squares coefficient
-optimization, circulant eigenvalues and CFL bounds.
+optimization, circulant eigenvalues and spectral radii.
 
 Conventions: for a derivative operator of odd order d acting on e^{ikx} the
 per-mode factor is (i)^d psi(w) / h^d with w = kh, so a third derivative gives
@@ -61,20 +61,13 @@ def lhs_symbol(alpha, beta, omega):
     return 1.0 + 2.0 * alpha * np.cos(omega) + 2.0 * beta * np.cos(2.0 * omega)
 
 
-def tap_sum(taps, omega, odd: bool):
-    """Symbol B(w) of (h/2 offset, weight) taps, up to the factor i of odd taps.
-
-    Even (symmetric) taps give w_0 + sum_{m>0} 2 w_m cos(m w/2); odd
-    (antisymmetric) taps give sum_{m>0} 2 w_m sin(m w/2).  Only offsets m >= 0
-    are read.
-    """
-    trig = np.sin if odd else np.cos
+def tap_sum(taps, omega):
+    """Symbol B(w)/i = sum_{m>0} 2 w_m sin(m w/2) of antisymmetric (h/2 offset,
+    weight) taps.  Only offsets m > 0 are read."""
     out = 0
     for m, w in taps:
         if m > 0:
-            out = out + 2 * float(w) * trig(m * omega / 2)
-        elif m == 0 and not odd:
-            out = out + float(w)
+            out = out + 2 * float(w) * np.sin(m * omega / 2)
     return out
 
 
@@ -316,18 +309,6 @@ def modified_wavenumber(scheme_id: str, omega):
     return scheme_symbol(scheme_id).psi(omega)
 
 
-def relative_factor(scheme_id: str, omega):
-    """R(w) = psi(w)/w^3, extended by continuity to R(0) = 1."""
-    sym = scheme_symbol(scheme_id)
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    out = np.ones_like(omega)
-    nz = omega != 0.0
-    out[nz] = sym.psi(omega[nz]) / omega[nz] ** sym.derivative_order
-    return out[0] if scalar else out
-
-
 # midpoint grid of the efficiency scan: avoids w = pi exactly, where
 # T4-type denominators vanish
 _SCAN_SAMPLES = 20000
@@ -466,7 +447,7 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8",
     d = template.derivative_order
     sign = -1.0 if d % 4 == 3 else 1.0
     # per-slot numerator basis: the group's taps at unit coefficient
-    nbases = {g.slot: tap_sum(g.taps, omega, odd=True) for g in template.rhs_groups}
+    nbases = {g.slot: tap_sum(g.taps, omega) for g in template.rhs_groups}
     lbases = {"alpha": 2.0 * np.cos(omega), "beta": 2.0 * np.cos(2.0 * omega)}
     target = omega ** d
 
@@ -551,9 +532,3 @@ def spectral_radius(scheme_id: str, n: int) -> float:
 
 
 IMAG_AXIS_LIMIT_TVDRK3 = 1.732
-
-
-def max_stable_timestep(scheme_id: str, n: int = 1024) -> float:
-    """Bound on dt/dx^d from TVD-RK3's imaginary-axis extent."""
-    return IMAG_AXIS_LIMIT_TVDRK3 / spectral_radius(scheme_id, n)
-

@@ -20,6 +20,7 @@ from dispersive_compact.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     dispatch,
     parse_filter_flag,
 )
@@ -409,6 +410,38 @@ def test_bad_run_config_is_usage_error(flags, capsys):
     assert run_cli("run", *flags) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge", "--example", "linear", "--c", "8", "--Ns", "20,40",
+     "--out", "missing/t.csv"),
+    ("converge", "--example", "linear", "--c", "8", "--Ns", "20,40",
+     "--json", "missing/t.json"),
+    ("run", "--snapshot", "missing/s.csv"),
+    ("run", "--out", "missing/r.json"),
+])
+def test_output_in_missing_directory_is_refused_before_any_run(
+        argv, tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(kdv, "integrate", no_run)
+    monkeypatch.setenv(kdv.THREADS_ENV, "1")  # a study's runs in this process
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing" in err and "does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_flags_read_kdv_tables(capsys):
+    dt_rule = next(a for a in build_parser().commands["run"]._actions
+                   if a.dest == "dt_rule")
+    assert dt_rule.choices == list(kdv.DT_RULES)
+    assert run_cli("run", "--scheme", "tdcxx") == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: unknown experiment scheme 'tdcxx'; valid: tdcncs, tdccs\n")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

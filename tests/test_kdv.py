@@ -263,8 +263,19 @@ def test_convergence_study_requires_increasing_ns():
         kdv.convergence_study("linear", "TDCNCS", [20, 10], kdv.RunConfig())
 
 
+def test_convergence_study_refuses_a_preset_without_exact_solution_first(
+        monkeypatch):
+    def no_run(*args):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(kdv, "integrate", no_run)
+    with pytest.raises(ValueError, match="no exact solution"):
+        kdv.convergence_study("double_soliton", "TDCNCS", [40, 80],
+                              kdv.RunConfig())
+
+
 def test_unknown_family():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="'TDXXX'; valid: TDCNCS, TDCCS"):
         kdv.Discretization("TDXXX", 20, 1.0)
 
 

@@ -1,5 +1,6 @@
 """Fourier symbols, resolving efficiency, LS optimization, eigenvalues."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -36,11 +37,6 @@ def test_symbol_small_omega_limit_is_cubic():
         omega = np.array([1e-3, 2e-3])
         psi = spectral.modified_wavenumber(sid, omega)
         assert np.allclose(psi, omega**3, rtol=1e-5)
-
-
-def test_relative_factor_continuous_at_zero():
-    assert spectral.relative_factor("TDCNCS-T8", 0.0) == 1.0
-    assert abs(spectral.relative_factor("TDCCS-T8", 1e-2) - 1.0) < 1e-6
 
 
 def test_ci_composition_reduces_resolution():
@@ -104,13 +100,13 @@ def test_eigenvalues_match_symbol():
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(psi))
 
 
-def test_max_stable_timestep_is_cfl_bound():
+def test_max_stable_timestep_is_cfl_bound(tmp_path):
+    out = tmp_path / "stability.json"
+    assert cli.dispatch(["stability", "--scheme", "TDCNCS-T8", "--n", "256",
+                         "--out", str(out)]) == cli.EXIT_OK
     lam = np.max(np.abs(spectral.circulant_eigenvalues("TDCNCS-T8", 256)))
-    bound = spectral.max_stable_timestep("TDCNCS-T8", n=256)
+    bound = json.loads(out.read_text())["cfl_bound"]
     assert abs(bound - spectral.IMAG_AXIS_LIMIT_TVDRK3 / lam) < 1e-14
-    # TVD-RK3 is the only integrator, so there is none to name
-    with pytest.raises(TypeError):
-        spectral.max_stable_timestep("TDCNCS-T8", integrator="TVDRK3")
 
 
 @pytest.mark.parametrize("n", [64, 101])
@@ -133,8 +129,6 @@ def test_band_vanishing_between_grid_modes_rejected(scheme_id):
 def test_stability_refuses_even_derivative_orders():
     # an interpolation has eigenvalues but no time step
     assert spectral.circulant_eigenvalues("CI-T8", 64).shape == (64,)
-    with pytest.raises(ValueError, match="odd derivative orders"):
-        spectral.max_stable_timestep("CI-T8")
     with pytest.raises(ValueError, match="odd derivative orders"):
         spectral.spectral_radius("CI-T8", 64)
 
