@@ -12,7 +12,9 @@ factored in Python by ``dgttrf``'s recurrence and swept for a matrix
 right-hand side as numpy rows (a few columns, such as the corner columns, in
 Python floats), so the dense-path KdV runs (paper sizes) never load scipy.
 LAPACK factors the larger and the pentadiagonal bands, at construction, and
-solves every vector right-hand side.  The spectral analysis
+solves every vector right-hand side.  ``solve`` gives each column of a matrix
+right-hand side the bits of its own vector solve, so a dense operator built
+from the identity rounds as its banded apply does.  The spectral analysis
 (``check_invertible`` and everything in ``spectral``) needs numpy alone.
 """
 
@@ -222,22 +224,18 @@ class CyclicBandedSolver:
         return y - self._g @ (self._cap_inv @ (self._vt @ y))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs; rhs may be (n,) or (n, k)."""
+        """Solve A x = rhs; rhs may be (n,) or (n, k), and each column of a
+        block gets the bits that a vector solve gives it alone.  A
+        numpy-swept band solves a block in one sweep and corrects it column
+        by column: one matrix product over all columns would round
+        differently."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
         if self.bandwidth == 0:
             return rhs.copy()
-        return self._correct(self._band_solve(rhs))
-
-    def solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A X = rhs for an (n, k) rhs, each column to the bits that
-        ``solve`` gives it alone.  A numpy-swept band solves the block in one
-        sweep and corrects it column by column: one matrix product over all
-        columns would round differently."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n:
-            raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
+        if rhs.ndim == 1:
+            return self._correct(self._band_solve(rhs))
         if not self._numpy_sweeps:
             return np.column_stack([self.solve(col) for col in rhs.T])
         return np.column_stack([self._correct(y) for y in self._band_solve(rhs).T])

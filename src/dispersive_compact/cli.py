@@ -46,17 +46,16 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", metavar="PATH",
                        help="write the effective config as JSON and exit")
+        p.add_argument("--out", help="output file (default stdout)")
         return p
 
     p = cmd("coeffs", "print exact scheme coefficients")
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", help="output file (default stdout)")
 
     p = cmd("spectrum", "modified-wavenumber table as CSV")
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--out")
 
     p = cmd("efficiency", "resolving-efficiency table as CSV")
     p.add_argument("--schemes", default="all",
@@ -64,18 +63,15 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-3, help="tolerance eps_t")
     p.add_argument("--mode", choices=["band_edge", "strict"],
                    default="band_edge")
-    p.add_argument("--out")
 
     p = cmd("stability", "spectral radius and CFL bound")
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--out")
 
     p = cmd("filter-analyze", "filter transfer function as CSV")
     p.add_argument("--name", choices=sorted(FILTER_ORDERS), default="F12")
     p.add_argument("--alpha-f", dest="alpha_f", type=float, default=0.4)
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--out")
 
     p = cmd("ls-optimize", "least-squares optimized coefficients")
     p.add_argument("--family", default="TDCCS")
@@ -83,7 +79,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=1.0,
                    help="integration range as fraction of pi")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
 
     def experiment_flags(p):
         p.add_argument("--example", default="linear", help="problem preset")
@@ -104,13 +99,11 @@ def build_parser() -> _Parser:
     experiment_flags(p)
     p.add_argument("--N", dest="n", type=int, default=100)
     p.add_argument("--snapshot", help="final-state CSV path")
-    p.add_argument("--out", help="summary JSON path (default stdout)")
 
     p = cmd("converge", "convergence study over a list of N")
     experiment_flags(p)
     p.add_argument("--Ns", dest="ns", default="10,20,30,40",
                    help="comma list, e.g. 10,20,30,40")
-    p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--json", help="also write the report as JSON here")
 
     return parser
@@ -163,12 +156,14 @@ def _attach_dash_values(parser: _Parser, argv) -> list:
 
 def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
     """The parsed arguments and the command's settings: flag defaults,
-    overridden by the --config file, overridden by explicit flags."""
+    overridden by the --config file, overridden by explicit flags.  Each file
+    value reaches its flag as ``--flag=VALUE`` ahead of the command line's
+    own flags, so argparse converts and checks it as it does the same text
+    on the command line, and a flag given there still wins."""
     argv = _attach_dash_values(parser, argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        command = parser.commands[args.command]
-        flags = {a.dest: a for a in command._actions
+        flags = {a.dest: a for a in parser.commands[args.command]._actions
                  if a.dest not in (*_META, "help")}
         file_cfg = load_config(args.config)
         unknown = sorted(set(file_cfg) - set(flags))
@@ -177,31 +172,28 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
                 f"unknown config key(s) {', '.join(unknown)}; "
                 f"valid: {', '.join(sorted(flags))}"
             )
+        file_flags = []
         for key, val in file_cfg.items():
-            flag = flags[key]
-            if val is None and flag.default is not None:
+            if val is None and flags[key].default is not None:
                 raise UsageError(
                     f"config key {key} cannot be {json.dumps(val)}")
             if val is not None:
-                # as text, argparse converts or refuses a default as it would
-                # the same text on the command line; it checks no choices there
-                file_cfg[key] = val = str(val)
-                if flag.choices and val not in flag.choices:
-                    raise UsageError(
-                        f"config key {key}: invalid choice {val!r} "
-                        f"(choose from {', '.join(flag.choices)})")
-        command.set_defaults(**file_cfg)
-        args = parser.parse_args(argv)
+                file_flags.append(f"{flags[key].option_strings[0]}={val}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + file_flags + argv[at:])
     return args, {k: v for k, v in vars(args).items() if k not in _META}
 
 
 def _check_output_dirs(cfg):
-    """Refuse an output path in a missing directory before any computation."""
+    """Refuse an output path that is a directory, or in a missing one,
+    before any computation."""
     for key in ("out", "snapshot", "json"):
         path = cfg.get(key)
         folder = os.path.dirname(path or "")
         if folder and not os.path.isdir(folder):
             raise UsageError(f"--{key} {path}: directory {folder} does not exist")
+        if path and os.path.isdir(path):
+            raise UsageError(f"--{key} {path}: is a directory")
 
 
 def _output(path):

@@ -9,7 +9,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,7 +235,7 @@ class DualGridFunction:
 
 
 FAMILY_OPS = {
-    # family -> (third-derivative scheme, first-derivative scheme)
+    # family -> (third- and first-derivative scheme), of one grid kind
     "TDCNCS": ("TDCNCS-T8", "CNCS-T8"),
     "TDCCS": ("TDCCS-T8", "CCS-T8"),
 }
@@ -252,15 +252,12 @@ class Discretization:
         if family not in FAMILY_OPS:
             raise KeyError(f"unknown family {family!r}; "
                            f"valid: {', '.join(FAMILY_OPS)}")
-        self.family = family
         self.n = _whole("N", n, 1)
         self.h = length / self.n
         self.x_lo = float(x_lo)
-        self.third_scheme, self.first_scheme = FAMILY_OPS[family]
+        self.third_scheme, first_scheme = FAMILY_OPS[family]
         self.d3_op = CompactOperator(self.third_scheme, self.n, self.h)
-        self.d1_op = CompactOperator(self.first_scheme, self.n, self.h)
-        if self.d3_op.grid_kind != self.d1_op.grid_kind:
-            raise ValueError("first/third derivative grid kinds disagree")
+        self.d1_op = CompactOperator(first_scheme, self.n, self.h)
         self.dual = self.d3_op.grid_kind == "dual"
 
     def nodes(self) -> np.ndarray:
@@ -560,14 +557,20 @@ def convergence_study(preset: str, family: str, ns: list[int],
                       params: dict | None = None) -> ConvergenceReport:
     """Errors per N, each N run in a pool of up to ``max_workers()``
     processes; with one worker, or one N, the runs stay in this process.
-    A preset without an exact solution is refused before any run."""
+    A preset without an exact solution, and an N whose grid or filter a run
+    refuses, are refused before any run: a pool reports a job's error only
+    after the jobs ahead of it have finished."""
     if not ns:
         raise ValueError("Ns must list at least one N")
     if list(ns) != sorted(set(ns)):
         raise ValueError("Ns must be strictly increasing")
     params = dict(params or {})
-    if make_problem(preset, **params).exact is None:
+    problem = make_problem(preset, **params)
+    if problem.exact is None:
         raise ValueError(f"preset {preset!r} has no exact solution")
+    for n in ns:  # a zero-length run checks the grid, step rule and filter
+        disc = Discretization(family, n, problem.length, problem.x_lo)
+        integrate(problem, disc, replace(config, t_final=0.0))
     jobs = [(preset, params, family, n, config) for n in ns]
     workers = min(max_workers(), len(jobs))
     if workers > 1:

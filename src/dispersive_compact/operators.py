@@ -109,20 +109,17 @@ class CompactOperator:
         """Operator action on a raw array (fine-grid array for dual kind),
         by the O(N) cyclic banded solve.  Written into ``out`` when given."""
         self._check_size(values)
-        result = self._solve(self._rhs(values), self.solver.solve)
+        rhs, solve = self._rhs(values), self.solver.solve
+        if self.grid_kind == "dual":
+            # each parity of the fine grid is its own cyclic system
+            result = np.empty_like(rhs)
+            result[0::2] = solve(rhs[0::2])
+            result[1::2] = solve(rhs[1::2])
+        else:
+            result = solve(rhs)
         if out is None:
             return result
         out[...] = result
-        return out
-
-    def _solve(self, rhs: np.ndarray, solve) -> np.ndarray:
-        """A^{-1} rhs by ``solve``; a dual operator solves each parity of the
-        fine grid as its own cyclic system."""
-        if self.grid_kind != "dual":
-            return solve(rhs)
-        out = np.empty_like(rhs)
-        out[0::2] = solve(rhs[0::2])
-        out[1::2] = solve(rhs[1::2])
         return out
 
     def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
@@ -144,12 +141,11 @@ class CompactOperator:
         return self.apply_fft if _fft_is_fast(self.size) else self.apply_array
 
     def dense_matrix(self) -> np.ndarray:
-        """The full circulant A^{-1} B action, cached.  Column j has the bits
-        of ``apply_array`` on the j-th unit vector: the unit vectors' right-hand
-        sides are solved as one block per parity by ``solve_columns``."""
+        """The full circulant A^{-1} B action, cached: ``apply_array`` of
+        the identity.  The solver gives each column of a block the bits of
+        its own solve, so column j is ``apply_array`` of the j-th unit vector."""
         if self._dense is None:
-            self._dense = self._solve(self._rhs(np.eye(self.size)),
-                                      self.solver.solve_columns)
+            self._dense = self.apply_array(np.eye(self.size))
         return self._dense
 
 

@@ -79,9 +79,8 @@ def circulant_symbol(taps, alpha, beta, grid_kind: str, derivative_order: int,
     reads v[i + shift], mode k of B v is v_k times sum w e^{+2 pi i shift k/size},
     the conjugate of the DFT of B's first row.  The LHS band acts within one
     parity, so its offsets step by 2 on the fine grid of a dual operator.
+    The caller has refused a singular band (``check_invertible``).
     """
-    # as every operator does, refuse a band that vanishes between grid modes
-    check_invertible(float(alpha), float(beta))
     row = np.zeros(size)
     for shift, w in grid_taps(taps, grid_kind, derivative_order):
         row[shift % size] += float(w)
@@ -515,6 +514,8 @@ def circulant_eigenvalues(scheme_id: str, n: int) -> np.ndarray:
     exact.family_template(_LS_FAMILIES.get(family, family)).check_grid(n)
     size = 2 * n if sym.grid_kind == "dual" else n
     try:
+        # as every operator's solver does, refuse a band singular off the grid
+        check_invertible(float(sym.alpha), float(sym.beta))
         sigma = circulant_symbol(sym.taps, sym.alpha, sym.beta, sym.grid_kind,
                                  sym.derivative_order, size)
     except SingularOperatorError as err:

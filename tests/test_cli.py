@@ -110,8 +110,11 @@ CONVERGE_ARGV = ("converge", "--example", "soliton", "--scheme", "tdcncs",
      "filter_F12_0.4.csv"),
     (("spectrum", "--scheme", "TDCCCS-CI-T8", "--samples", "64"),
      "spectrum_TDCCCS-CI-T8_64.csv"),
+    # the default text format
+    (("coeffs", "--scheme", "TDCCS-T8"), "coeffs_TDCCS-T8.txt"),
+    (("coeffs", "--scheme", "CCS-T8"), "coeffs_CCS-T8.txt"),
 ], ids=["spectrum", "converge", "efficiency", "efficiency-strict", "filter",
-        "spectrum-ci"])
+        "spectrum-ci", "coeffs-TDCCS-T8", "coeffs-CCS-T8"])
 def test_table_is_the_pinned_bytes_in_a_file_and_on_stdout(argv, golden,
                                                            tmp_path, capsys):
     want = (GOLDEN / golden).read_bytes()
@@ -419,6 +422,12 @@ def test_bad_run_config_is_usage_error(flags, capsys):
      "--json", "missing/t.json"),
     ("run", "--snapshot", "missing/s.csv"),
     ("run", "--out", "missing/r.json"),
+    # an output path that is an existing directory
+    ("converge", "--example", "linear", "--c", "8", "--Ns", "20,40",
+     "--out", "made"),
+    ("converge", "--example", "linear", "--c", "8", "--Ns", "20,40",
+     "--json", "made"),
+    ("run", "--snapshot", "made"),
 ])
 def test_output_in_missing_directory_is_refused_before_any_run(
         argv, tmp_path, monkeypatch, capsys):
@@ -428,11 +437,14 @@ def test_output_in_missing_directory_is_refused_before_any_run(
     monkeypatch.setattr(kdv, "integrate", no_run)
     monkeypatch.setenv(kdv.THREADS_ENV, "1")  # a study's runs in this process
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "made").mkdir()
     assert run_cli(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "missing" in err and "does not exist" in err
-    assert list(tmp_path.iterdir()) == []
+    assert f"{argv[-2]} {argv[-1]}:" in err
+    assert ("is a directory" if argv[-1] == "made" else "does not exist") in err
+    assert [p.name for p in tmp_path.iterdir()] == ["made"]
+    assert not any((tmp_path / "made").iterdir())
 
 
 def test_experiment_flags_read_kdv_tables(capsys):

@@ -10,7 +10,7 @@ import pytest
 from dispersive_compact import exact, kdv, spectral
 from dispersive_compact.kdv import DualGridFunction
 from dispersive_compact.operators import DENSE_LIMIT, FilterOperator, filter_by_name
-from dispersive_compact.timeint import DivergenceError, TvdRk3
+from dispersive_compact.timeint import DivergenceError, TvdRk3, rk3_amplification
 
 
 def test_preset_fields():
@@ -274,6 +274,30 @@ def test_convergence_study_refuses_a_preset_without_exact_solution_first(
                               kdv.RunConfig())
 
 
+@pytest.mark.parametrize("ns, config, message", [
+    ([4, 40], kdv.RunConfig(), "N=4 too small for stencil"),
+    ([10, 40], kdv.RunConfig(filter=kdv.FilterConfig("F12", 0.4, 20)),
+     "N=10 too small for filter width 6"),
+])
+def test_convergence_study_refuses_a_bad_n_before_any_run(ns, config, message,
+                                                          monkeypatch):
+    # a pool reports a job's error only after the jobs ahead of it finish
+    def no_job(args):
+        raise AssertionError("a study job ran")
+
+    monkeypatch.setenv(kdv.THREADS_ENV, "1")
+    monkeypatch.setattr(kdv, "_study_worker", no_job)
+    with pytest.raises(ValueError, match=message):
+        kdv.convergence_study("soliton", "TDCNCS", ns, config)
+
+
+@pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
+def test_family_schemes_share_one_grid_kind(family):
+    kinds = {exact.builtin_scheme(sid)[0].grid_kind
+             for sid in kdv.FAMILY_OPS[family]}
+    assert kinds == {"dual" if family == "TDCCS" else "node_only"}
+
+
 def test_unknown_family():
     with pytest.raises(KeyError, match="'TDXXX'; valid: TDCNCS, TDCCS"):
         kdv.Discretization("TDXXX", 20, 1.0)
@@ -418,6 +442,22 @@ def test_segments_between_events_give_the_bytes_of_the_step_loop(
     assert [v.tobytes() for _, v in result.history] == [
         v.tobytes() for _, v in want_history]
     assert len(want_history) == 1 + result.n_steps // config.record_every
+
+
+@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
+@pytest.mark.parametrize("n", [20, 40])
+def test_grid_symbol_predicts_the_linear_run(family, n):
+    # u_t = -eps D3 u acts on each grid mode alone: a step multiplies mode k
+    # by the RK3 amplification of dt * (-eps) * symbol_k
+    p = kdv.make_problem("linear", c=8.0)
+    d = kdv.Discretization(family, n, p.length, p.x_lo)
+    r = kdv.integrate(p, d, kdv.RunConfig())
+    amplification = rk3_amplification(r.dt * -p.epsilon * d.d3_op.symbol)
+    want = np.fft.ifft(amplification ** r.n_steps
+                       * np.fft.fft(d.initial_state(p)))
+    got = r.state.fine() if d.dual else r.state.values
+    assert r.n_steps > 3000
+    assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_a_run_without_a_flux_never_builds_the_first_derivative():
