@@ -111,8 +111,8 @@ class SingularOperatorError(ValueError):
     """The circulant symbol vanishes somewhere on [0, 2*pi)."""
 
 
-def check_invertible(alpha: float, beta: float, tol: float = 1e-10) -> None:
-    """Raise unless |1 + 2*alpha*cos(w) + 2*beta*cos(2w)| >= tol for all w.
+def check_invertible(alpha: float, beta: float) -> None:
+    """Raise unless |1 + 2*alpha*cos(w) + 2*beta*cos(2w)| >= 1e-10 for all w.
 
     With c = cos(w) the symbol is the quadratic D(c) = 1 + 2*alpha*c +
     2*beta*(2c^2 - 1) on [-1, 1], whose range is spanned by its values at the
@@ -122,7 +122,7 @@ def check_invertible(alpha: float, beta: float, tol: float = 1e-10) -> None:
     if beta != 0.0 and abs(alpha) < 4.0 * abs(beta):
         cands.append(-alpha / (4.0 * beta))
     values = [1.0 + 2.0 * alpha * c + 2.0 * beta * (2.0 * c * c - 1.0) for c in cands]
-    if min(values) < tol and max(values) > -tol:
+    if min(values) < 1e-10 and max(values) > -1e-10:
         raise SingularOperatorError(
             f"LHS symbol vanishes for alpha={alpha}, beta={beta}"
         )

@@ -41,39 +41,40 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices  # command name -> its parser
 
-    def cmd(name, help):
+    def cmd(name, help, handler):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", metavar="PATH",
                        help="write the effective config as JSON and exit")
         p.add_argument("--out", help="output file (default stdout)")
         return p
 
-    p = cmd("coeffs", "print exact scheme coefficients")
+    p = cmd("coeffs", "print exact scheme coefficients", _cmd_coeffs)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("spectrum", "modified-wavenumber table as CSV")
+    p = cmd("spectrum", "modified-wavenumber table as CSV", _cmd_spectrum)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--samples", type=int, default=400)
 
-    p = cmd("efficiency", "resolving-efficiency table as CSV")
+    p = cmd("efficiency", "resolving-efficiency table as CSV", _cmd_efficiency)
     p.add_argument("--schemes", default="all",
                    help="comma list of scheme ids, or 'all'")
     p.add_argument("--eps", type=float, default=1e-3, help="tolerance eps_t")
     p.add_argument("--mode", choices=["band_edge", "strict"],
                    default="band_edge")
 
-    p = cmd("stability", "spectral radius and CFL bound")
+    p = cmd("stability", "spectral radius and CFL bound", _cmd_stability)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--n", type=int, default=1024)
 
-    p = cmd("filter-analyze", "filter transfer function as CSV")
+    p = cmd("filter-analyze", "filter transfer function as CSV", _cmd_filter_analyze)
     p.add_argument("--name", choices=sorted(FILTER_ORDERS), default="F12")
     p.add_argument("--alpha-f", dest="alpha_f", type=float, default=0.4)
     p.add_argument("--samples", type=int, default=400)
 
-    p = cmd("ls-optimize", "least-squares optimized coefficients")
+    p = cmd("ls-optimize", "least-squares optimized coefficients", _cmd_ls_optimize)
     p.add_argument("--family", default="TDCCS")
     p.add_argument("--variant", default="T8")
     p.add_argument("--r", type=float, default=1.0,
@@ -95,12 +96,12 @@ def build_parser() -> _Parser:
         p.add_argument("--filter", help="NAME:ALPHA_F:EVERY, e.g. F12:0.4:20")
         p.add_argument("--t-final", dest="t_final", type=float)
 
-    p = cmd("run", "integrate one experiment")
+    p = cmd("run", "integrate one experiment", _cmd_run)
     experiment_flags(p)
     p.add_argument("--N", dest="n", type=int, default=100)
     p.add_argument("--snapshot", help="final-state CSV path")
 
-    p = cmd("converge", "convergence study over a list of N")
+    p = cmd("converge", "convergence study over a list of N", _cmd_converge)
     experiment_flags(p)
     p.add_argument("--Ns", dest="ns", default="10,20,30,40",
                    help="comma list, e.g. 10,20,30,40")
@@ -125,7 +126,7 @@ def load_config(path) -> dict:
 
 
 # namespace entries that steer the front end rather than configure a command
-_META = ("command", "config", "dump_config")
+_META = ("command", "config", "dump_config", "handler")
 
 
 def _is_float(text: str) -> bool:
@@ -228,11 +229,6 @@ def _emit_coeffs(cfg, coeffs):
             fh.write(f"  {name} = {val} = {float(val):+.12e}\n")
 
 
-def _known_schemes_note() -> str:
-    ids = exact.catalogued_scheme_ids()
-    return "valid schemes: " + ", ".join(sorted(ids))
-
-
 def _cmd_coeffs(cfg) -> int:
     _, coeffs = exact.builtin_scheme(cfg["scheme"])
     _emit_coeffs(cfg, coeffs)
@@ -275,7 +271,11 @@ def _cmd_efficiency(cfg) -> int:
 
 
 def _cmd_stability(cfg) -> int:
-    radius = spectral.spectral_radius(cfg["scheme"], cfg["n"])
+    if spectral.scheme_symbol(cfg["scheme"]).derivative_order % 2 == 0:
+        raise UsageError(f"{cfg['scheme']} has no time step: stability is "
+                         f"defined for odd derivative orders")
+    eigenvalues = spectral.circulant_eigenvalues(cfg["scheme"], cfg["n"])
+    radius = float(np.max(np.abs(eigenvalues)))
     doc = {
         "scheme": cfg["scheme"],
         "n": cfg["n"],
@@ -403,18 +403,6 @@ def _cmd_converge(cfg) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "spectrum": _cmd_spectrum,
-    "efficiency": _cmd_efficiency,
-    "stability": _cmd_stability,
-    "filter-analyze": _cmd_filter_analyze,
-    "ls-optimize": _cmd_ls_optimize,
-    "run": _cmd_run,
-    "converge": _cmd_converge,
-}
-
-
 def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
@@ -426,23 +414,18 @@ def dispatch(argv=None) -> int:
             _write_json(args.dump_config, dict(sorted(cfg.items())))
             return EXIT_OK
         _check_output_dirs(cfg)
-        return _HANDLERS[args.command](cfg)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(cfg)
     except exact.UnknownSchemeError as err:
-        print(f"error: unknown scheme {err.args[0]!r}; {_known_schemes_note()}",
+        known = ", ".join(sorted(exact.catalogued_scheme_ids()))
+        print(f"error: unknown scheme {err.args[0]!r}; valid schemes: {known}",
               file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, SingularOperatorError, exact.DerivationError) as err:
         # before ValueError: SingularOperatorError and DerivationError are ones
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        # an output path that cannot be written, e.g. a directory
+    except (UsageError, ValueError, KeyError, OSError) as err:
+        # OSError: an output path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,10 +42,16 @@ class KdvProblem:
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
             raise ValueError("x_hi must exceed x_lo")
+        _check_t_final(self.t_final)
 
     @property
     def length(self) -> float:
         return self.x_hi - self.x_lo
+
+
+def _check_t_final(t_final) -> None:
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
 
 
 def _checked(positive=(), **params) -> list[float]:
@@ -263,13 +269,10 @@ class Discretization:
     def nodes(self) -> np.ndarray:
         return self.x_lo + self.h * np.arange(self.n)
 
-    def fine_points(self) -> np.ndarray:
-        return self.x_lo + 0.5 * self.h * np.arange(2 * self.n)
-
     def initial_state(self, problem: KdvProblem):
         """Sample u0 directly (centers sampled, never interpolated)."""
         if self.dual:
-            return problem.initial(self.fine_points())
+            return problem.initial(self.x_lo + 0.5 * self.h * np.arange(2 * self.n))
         return problem.initial(self.nodes())
 
     def wrap(self, values: np.ndarray) -> GridFunction | DualGridFunction:
@@ -359,10 +362,8 @@ class RunConfig:
         if (self.dt is not None) != (self.dt_rule == "fixed"):
             raise ValueError(f"a dt goes with dt_rule 'fixed' and only with it; "
                              f"got dt_rule {self.dt_rule!r} and dt {self.dt}")
-        if self.t_final is not None and not (
-                math.isfinite(self.t_final) and self.t_final >= 0):
-            raise ValueError(
-                f"t_final must be finite and non-negative, got {self.t_final}")
+        if self.t_final is not None:
+            _check_t_final(self.t_final)
 
     def timestep(self, h: float) -> float:
         """The rule's nominal step at spacing ``h`` (``DT_RULES``)."""
@@ -420,8 +421,6 @@ MAX_STEPS = 10**8
 def integrate(problem: KdvProblem, disc: Discretization,
               config: RunConfig) -> RunResult:
     t_final = problem.t_final if config.t_final is None else float(config.t_final)
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
     # the loop steps the stepper's own row, in place
     stepper = TvdRk3((disc.d3_op.size,))
     values = stepper.u
@@ -568,19 +567,21 @@ def convergence_study(preset: str, family: str, ns: list[int],
     problem = make_problem(preset, **params)
     if problem.exact is None:
         raise ValueError(f"preset {preset!r} has no exact solution")
-    for n in ns:  # a zero-length run checks the grid, step rule and filter
-        disc = Discretization(family, n, problem.length, problem.x_lo)
+    discs = [Discretization(family, n, problem.length, problem.x_lo)
+             for n in ns]
+    for disc in discs:  # a zero-length run checks the grid, step rule and filter
         integrate(problem, disc, replace(config, t_final=0.0))
-    jobs = [(preset, params, family, n, config) for n in ns]
-    workers = min(max_workers(), len(jobs))
+    workers = min(max_workers(), len(ns))
     if workers > 1:
         # multiprocessing is loaded only by the runs that use it
         from concurrent.futures import ProcessPoolExecutor
 
+        jobs = [(preset, params, family, n, config) for n in ns]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(_study_worker, jobs))
     else:
-        errors = [_study_worker(job) for job in jobs]
+        # the serial runs step the operators that the zero-length runs built
+        errors = [integrate(problem, disc, config).norms for disc in discs]
     return ConvergenceReport(
         problem_id=preset, scheme_id=FAMILY_OPS[family][0],
         ns=list(ns), errors=errors,

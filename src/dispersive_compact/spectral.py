@@ -3,7 +3,7 @@
 Every symbol is evaluated here: the grid (DFT) symbol of a periodic circulant
 that operators apply, modified wavenumbers, interpolation/filter transfer
 functions, bandwidth resolving efficiency, least-squares coefficient
-optimization, circulant eigenvalues and spectral radii.
+optimization and circulant eigenvalues.
 
 Conventions: for a derivative operator of odd order d acting on e^{ikx} the
 per-mode factor is (i)^d psi(w) / h^d with w = kh, so a third derivative gives
@@ -521,15 +521,6 @@ def circulant_eigenvalues(scheme_id: str, n: int) -> np.ndarray:
     except SingularOperatorError as err:
         raise SingularOperatorError(f"{scheme_id}: {err}") from None
     return np.conj(sigma)
-
-
-def spectral_radius(scheme_id: str, n: int) -> float:
-    """max |eigenvalue| of h^d A^{-1} B for an odd-order derivative, the only
-    kind of scheme a time integrator steps."""
-    if scheme_symbol(scheme_id).derivative_order % 2 == 0:
-        raise ValueError(f"{scheme_id} has no time step: stability is "
-                         f"defined for odd derivative orders")
-    return float(np.max(np.abs(circulant_eigenvalues(scheme_id, n))))
 
 
 IMAG_AXIS_LIMIT_TVDRK3 = 1.732

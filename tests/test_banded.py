@@ -79,6 +79,22 @@ def test_multiple_right_hand_sides():
         assert np.allclose(x[:, j], solver.solve(rhs[:, j]))
 
 
+@pytest.mark.parametrize("n, alpha, beta", [(2, 0.3, 0.0), (4, 0.3, 0.01)])
+def test_solver_refuses_a_system_smaller_than_its_band(n, alpha, beta):
+    with pytest.raises(ValueError, match=f"n={n} too small for bandwidth"):
+        CyclicBandedSolver(n, alpha, beta)
+
+
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError, match="rhs length 11 != n=12"):
+        CyclicBandedSolver(12, 0.3).solve(np.ones(11))
+
+
+def test_dense_oracle_refuses_a_system_above_its_size_limit():
+    with pytest.raises(ValueError, match="limited to n <= 512"):
+        dense_oracle_solve(np.eye(513), np.ones(513))
+
+
 def test_singular_band_detected():
     # 1 + 2*(1/2)*cos(w) vanishes at w = pi
     with pytest.raises(SingularOperatorError):
@@ -105,9 +121,9 @@ def test_singular_band_between_sample_points_detected():
 def test_invertibility_agrees_with_dense_sampling(alpha, beta):
     omega = np.linspace(0.0, np.pi, 20001)
     d = 1.0 + 2.0 * alpha * np.cos(omega) + 2.0 * beta * np.cos(2.0 * omega)
-    tol = 1e-10
+    tol = 1e-10  # check_invertible's own margin
     try:
-        check_invertible(alpha, beta, tol)
+        check_invertible(alpha, beta)
     except SingularOperatorError:
         # |dD/dw| <= 2|alpha| + 4|beta| <= 4, so the sampled extremes lie
         # within 4 * step / 2 of the true ones

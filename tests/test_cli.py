@@ -305,6 +305,20 @@ def test_stability_json(tmp_path):
     assert doc["integrator"] == "TVDRK3"
 
 
+@pytest.mark.parametrize("scheme, message", [
+    # an interpolation has eigenvalues but no time step
+    ("CI-T8", "CI-T8 has no time step: stability is defined for odd "
+              "derivative orders"),
+    # a CI-composed symbol is no circulant of its own
+    ("TDCCS-CI-T8", "no standalone circulant"),
+])
+def test_stability_refuses_what_no_integrator_steps(scheme, message, capsys):
+    assert run_cli("stability", "--scheme", scheme) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err and out == ""
+
+
 def test_singular_operator_is_numerical_failure(capsys):
     # TDCNCS-T4 (alpha = 1/2) is singular at the Nyquist mode of N = 100; at
     # N = 101 no grid mode sits on its zero, and the band is refused all the same
@@ -565,6 +579,21 @@ def test_malformed_config_reports_location(tmp_path, capsys):
     cfg.write_text("{\n  bad\n}")
     assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--config", "missing.json"), "missing.json: No such file"),
+    (("--config", "list.json"), "config must be a JSON object"),
+    (("--out", "x" * 300), "File name too long"),  # OSError at open
+])
+def test_unusable_config_or_output_file_is_one_line_usage_error(
+        argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert run_cli("coeffs", *argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err and out == ""
 
 
 def test_empty_config_is_all_defaults(tmp_path):

@@ -27,6 +27,54 @@ def test_template_validation_rejects_bad_parity():
         ).validate()
 
 
+_TRI = ((-2, "alpha"), (0, "one"), (2, "alpha"))
+_ODD_A = (exact.TapGroup("a", ((-2, F(-1)), (2, F(1)))),)
+
+
+@pytest.mark.parametrize("lhs, rhs, message", [
+    (((-2, "alpha"), (0, "one"), (0, "one"), (2, "alpha")), _ODD_A,
+     "duplicate LHS offset"),
+    (((-2, "alpha"), (0, "alpha"), (2, "alpha")), _ODD_A, "unit diagonal"),
+    (((-2, "gamma"), (0, "one"), (2, "gamma")), _ODD_A, "unknown LHS slot"),
+    (((-1, "alpha"), (0, "one"), (1, "alpha")), _ODD_A, "whole grid points"),
+    (((-2, "alpha"), (0, "one"), (2, "beta")), _ODD_A, "not symmetric"),
+    (_TRI, (exact.TapGroup("d", ((-2, F(-1)), (2, F(1)))),),
+     "unknown RHS slot"),
+    (_TRI, (exact.TapGroup("a", ((-2, F(-1)), (2, F(1)), (2, F(1)))),),
+     "duplicate tap offset"),
+])
+def test_template_validation_names_each_structural_fault(lhs, rhs, message):
+    template = exact.SchemeTemplate(derivative_order=3, lhs_offsets=lhs,
+                                    rhs_groups=rhs, grid_kind="node_only")
+    with pytest.raises(exact.TemplateError, match=message):
+        template.validate()
+
+
+def test_condition_rows_refuse_an_odd_max_order():
+    with pytest.raises(ValueError, match="even and non-negative"):
+        exact.TDCNCS_TEMPLATE.condition_rows(3)
+
+
+def test_group_with_a_first_moment_is_a_spurious_derivative():
+    # antisymmetric taps whose first moment is not zero reproduce u' inside
+    # a third-derivative formula
+    template = exact.SchemeTemplate(
+        derivative_order=3, lhs_offsets=_TRI,
+        rhs_groups=(exact.TapGroup("a", ((-1, F(-1)), (1, F(1)))),),
+        grid_kind="node_only")
+    with pytest.raises(exact.TemplateError, match="spurious derivative of degree 1"):
+        template.condition_rows(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact.builtin_scheme("TDCCS-1-E2"),  # a variant no one derives
+    lambda: exact.family_template("NOPE"),
+])
+def test_unknown_family_or_variant_raises(call):
+    with pytest.raises(exact.UnknownSchemeError):
+        call()
+
+
 def test_order_conditions_count_matches_unknowns():
     template = exact.TDCNCS_TEMPLATE
     conds = exact.order_conditions(template, 8)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -38,6 +39,18 @@ def test_presets_flux_is_one_coefficient():
     assert kappas == {"linear": 0.0, "soliton": -3.0, "single_soliton": 0.5,
                       "double_soliton": 0.5, "triple_soliton": 0.5,
                       "dispersion_limit": 0.5, "tophat": 0.5}
+
+
+def test_problem_refuses_an_empty_domain():
+    with pytest.raises(ValueError, match="x_hi must exceed x_lo"):
+        dataclasses.replace(kdv.make_problem("soliton"), x_hi=-10.0)
+
+
+@pytest.mark.parametrize("t_final", [float("nan"), float("inf"), -1.0])
+def test_problem_refuses_its_own_bad_t_final(t_final):
+    # as RunConfig refuses the same value, before any run
+    with pytest.raises(ValueError, match="t_final must be finite and non-negative"):
+        dataclasses.replace(kdv.make_problem("soliton"), t_final=t_final)
 
 
 def test_unknown_preset():
@@ -121,6 +134,22 @@ def test_dual_centers_sampled_not_interpolated():
     d = kdv.Discretization("TDCCS", 40, p.length, p.x_lo)
     values = d.initial_state(p)
     assert np.allclose(values[1::2], p.initial(d.nodes() + d.h / 2), rtol=1e-13)
+
+
+@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
+def test_run_state_points_are_the_sampled_points(family):
+    # the points a run's state reports (perfbench reads them) are the ones
+    # its initial state was sampled at, bit for bit
+    p = kdv.make_problem("soliton")
+    d = kdv.Discretization(family, 32, p.length, p.x_lo)
+    state = kdv.integrate(p, d, kdv.RunConfig(t_final=0.0)).state
+    if d.dual:
+        x, u = state.fine_points(), state.fine()
+        assert np.array_equal(x[0::2], d.nodes())
+    else:
+        x, u = state.nodes(), state.values
+        assert np.array_equal(x, d.nodes())
+    assert np.array_equal(u, p.initial(x))
 
 
 @pytest.mark.parametrize("family, n", [("TDCNCS", 384), ("TDCCS", 192)])
@@ -258,6 +287,11 @@ def test_convergence_study_serial_parallel_agree(monkeypatch):
     assert errors["1"] == errors["2"]
 
 
+def test_max_workers_defaults_to_the_cpu_count(monkeypatch):
+    monkeypatch.delenv(kdv.THREADS_ENV, raising=False)
+    assert kdv.max_workers() == (os.cpu_count() or 1)
+
+
 def test_convergence_study_requires_increasing_ns():
     with pytest.raises(ValueError):
         kdv.convergence_study("linear", "TDCNCS", [20, 10], kdv.RunConfig())
@@ -285,8 +319,16 @@ def test_convergence_study_refuses_a_bad_n_before_any_run(ns, config, message,
     def no_job(args):
         raise AssertionError("a study job ran")
 
+    zero_length_run = kdv.integrate
+
+    def no_run(problem, disc, config):
+        if config.t_final != 0:
+            raise AssertionError("a study job ran")
+        return zero_length_run(problem, disc, config)
+
     monkeypatch.setenv(kdv.THREADS_ENV, "1")
     monkeypatch.setattr(kdv, "_study_worker", no_job)
+    monkeypatch.setattr(kdv, "integrate", no_run)
     with pytest.raises(ValueError, match=message):
         kdv.convergence_study("soliton", "TDCNCS", ns, config)
 

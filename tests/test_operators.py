@@ -168,6 +168,42 @@ def test_circulant_eigenvalues_are_conjugate_symbol(scheme_id, n):
         assert np.max(np.abs(lam - want)) <= 1e-13 * np.max(np.abs(lam))
 
 
+# alpha = 1/2 vanishes at w = pi, alpha = -1/2 at w = 0
+SINGULAR_ODD_IDS = ["TDCNCS-T4", "TDCCS-T6", "TDCCS-1-T6"]
+ODD_ORDER_IDS = [sid for sid in exact.catalogued_scheme_ids()
+                 if exact.builtin_scheme(sid)[0].derivative_order % 2 == 1
+                 and sid not in SINGULAR_ODD_IDS]
+
+
+@pytest.mark.parametrize("n", [20, 21, 64])
+def test_grid_symbol_is_psi_on_the_grid_modes(n):
+    # the operator's DFT route and the factored psi route agree on every
+    # grid mode: i^d psi(w), w in units of h (a dual grid's fine spacing is
+    # h/2), and a center-only derivative lands half a cell back on the nodes
+    assert len(ODD_ORDER_IDS) == 37
+    for sid in ODD_ORDER_IDS:
+        op = build_operator(sid, n, 1.0)
+        theta = 2 * np.pi * np.fft.fftfreq(op.size)
+        omega = 2 * theta if op.grid_kind == "dual" else theta
+        want = 1j ** op.derivative_order * spectral.scheme_symbol(sid).psi(omega)
+        if op.grid_kind == "center_only":
+            want = want * np.exp(-0.5j * omega)
+        err = np.max(np.abs(op.symbol - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), (sid, err)
+
+
+@pytest.mark.parametrize("n", [20, 21, 64])
+@pytest.mark.parametrize("scheme_id", SINGULAR_ODD_IDS)
+def test_singular_odd_order_operators_are_refused(scheme_id, n):
+    with pytest.raises(SingularOperatorError):
+        build_operator(scheme_id, n, 1.0)
+
+
+def test_filter_half_width_must_be_positive():
+    with pytest.raises(ValueError, match="half width must be >= 1"):
+        derive_filter(0, 0.4)
+
+
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):
         CompactOperator("TDCNCS-T8", 2, 0.1)

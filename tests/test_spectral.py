@@ -126,11 +126,31 @@ def test_band_vanishing_between_grid_modes_rejected(scheme_id):
         spectral.circulant_eigenvalues(scheme_id, 100)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: spectral.grid_taps([(2, 1.0)], "edge_only", 3), ValueError,
+     "unknown grid kind"),
+    (lambda: spectral.scheme_symbol("TDCNCS-T8").transfer_function(0.5),
+     ValueError, "requires derivative order 0"),
+    (lambda: spectral.resolving_efficiency("TDCNCS-T8", 1e-3, mode="edge"),
+     ValueError, "unknown mode"),
+    (lambda: spectral.ls_optimize("TDCCS", "T8", 0.0), ValueError,
+     r"r must be in \(0, 1\]"),
+    (lambda: spectral.ls_optimize("TDCCS", "T8", 1.5), ValueError,
+     r"r must be in \(0, 1\]"),
+    (lambda: spectral.ls_optimize("TDCCS", "Q3"), exact.UnknownSchemeError,
+     "TDCCS-Q3"),
+    (lambda: spectral.ls_optimize("TDCCS", "E6"), ValueError,
+     "must retain an implicit coefficient"),
+])
+def test_analysis_refuses_what_it_cannot_evaluate(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_stability_refuses_even_derivative_orders():
-    # an interpolation has eigenvalues but no time step
+    # an interpolation has eigenvalues but no time step: the CLI's
+    # ``stability`` refuses it (test_cli)
     assert spectral.circulant_eigenvalues("CI-T8", 64).shape == (64,)
-    with pytest.raises(ValueError, match="odd derivative orders"):
-        spectral.spectral_radius("CI-T8", 64)
 
 
 @pytest.mark.parametrize("mode", ["band_edge", "strict"])
