@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import os
 import sys
@@ -186,15 +187,25 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
 
 
 def _check_output_dirs(cfg):
-    """Refuse an output path that is a directory, or in a missing one,
-    before any computation."""
+    """Refuse an output path that cannot be opened for writing (a directory,
+    in a missing or unwritable one, or a name too long) before any
+    computation."""
     for key in ("out", "snapshot", "json"):
         path = cfg.get(key)
-        folder = os.path.dirname(path or "")
+        if not path:
+            continue
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise UsageError(f"--{key} {path}: directory {folder} does not exist")
-        if path and os.path.isdir(path):
+        if os.path.isdir(path):
             raise UsageError(f"--{key} {path}: is a directory")
+        folder = folder or "."
+        name = os.fsencode(os.path.basename(path))
+        if len(name) > os.pathconf(folder, "PC_NAME_MAX"):
+            raise UsageError(f"--{key} {path}: {os.strerror(errno.ENAMETOOLONG)}")
+        # an existing file is opened in place; a new one is made in its folder
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise UsageError(f"--{key} {path}: {os.strerror(errno.EACCES)}")
 
 
 def _output(path):

@@ -442,13 +442,26 @@ def test_bad_run_config_is_usage_error(flags, capsys):
     ("converge", "--example", "linear", "--c", "8", "--Ns", "20,40",
      "--json", "made"),
     ("run", "--snapshot", "made"),
+    # a name longer than the file system allows
+    ("converge", "--example", "soliton", "--Ns", "40,800", "--out", "x" * 300),
+    # a directory without write permission
+    ("run", "--out", "made/r.json"),
 ])
 def test_output_in_missing_directory_is_refused_before_any_run(
         argv, tmp_path, monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("integrate called")
 
+    # root ignores mode bits, so "made" is made unwritable through os.access
+    real_access = os.access
+
+    def access(path, mode, **kwargs):
+        if path == "made" and mode & os.W_OK:
+            return False
+        return real_access(path, mode, **kwargs)
+
     monkeypatch.setattr(kdv, "integrate", no_run)
+    monkeypatch.setattr(os, "access", access)
     monkeypatch.setenv(kdv.THREADS_ENV, "1")  # a study's runs in this process
     monkeypatch.chdir(tmp_path)
     (tmp_path / "made").mkdir()
@@ -456,7 +469,9 @@ def test_output_in_missing_directory_is_refused_before_any_run(
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{argv[-2]} {argv[-1]}:" in err
-    assert ("is a directory" if argv[-1] == "made" else "does not exist") in err
+    message = {"made": "is a directory", "x" * 300: "File name too long",
+               "made/r.json": "Permission denied"}
+    assert message.get(argv[-1], "does not exist") in err
     assert [p.name for p in tmp_path.iterdir()] == ["made"]
     assert not any((tmp_path / "made").iterdir())
 

@@ -211,21 +211,62 @@ def test_timestep_guard_warns():
     p = kdv.make_problem("soliton")
     d = kdv.Discretization("TDCNCS", 40, p.length, p.x_lo)
     with pytest.warns(UserWarning):
-        kdv.check_timestep(p, d, dt=1.0)
+        kdv.check_timestep(p, d, dt=1.0, u0=d.initial_state(p))
 
 
-def test_timestep_guard_uses_the_run_operator():
-    # at N = 20 the radius of the run's own operator lies a few percent below
-    # the one at N = 256, so a dt just under the run's bound is stable
+@pytest.mark.parametrize("n", [20, 64, 389])
+@pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
+def test_timestep_guard_uses_the_run_operator(family, n):
+    # the radius of the run's own operator moves with N (at N = 20 it lies a
+    # few percent below the one at N = 256), so the guard reads it at the
+    # run's N: a dt just under that bound passes and one just over warns
     p = kdv.make_problem("linear", c=1.0)
-    d = kdv.Discretization("TDCNCS", 20, p.length, p.x_lo)
+    d = kdv.Discretization(family, n, p.length, p.x_lo)
+    u0 = d.initial_state(p)
     radius = np.max(np.abs(d.d3_op.symbol)) * d.h ** 3
     bound = spectral.IMAG_AXIS_LIMIT_TVDRK3 * d.h ** 3 / (p.epsilon * radius)
+    # the bound the stability command prints, in time units
+    eigenvalues = spectral.circulant_eigenvalues(d.third_scheme, n)
+    printed = spectral.IMAG_AXIS_LIMIT_TVDRK3 / np.max(np.abs(eigenvalues))
+    assert bound == pytest.approx(printed * d.h ** 3 / abs(p.epsilon), rel=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kdv.check_timestep(p, d, dt=0.999 * bound)
+        kdv.check_timestep(p, d, dt=0.999 * bound, u0=u0)
     with pytest.warns(UserWarning, match="dispersive stability bound"):
-        kdv.check_timestep(p, d, dt=1.001 * bound)
+        kdv.check_timestep(p, d, dt=1.001 * bound, u0=u0)
+
+
+def _counting_initial(problem, calls):
+    """``problem`` with its initial condition counting its calls."""
+    def initial(x):
+        calls.append(len(x))
+        return problem.initial(x)
+
+    return dataclasses.replace(problem, initial=initial)
+
+
+@pytest.mark.parametrize("t_final", [0.01, 0.0])
+@pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
+def test_a_run_samples_its_initial_state_once(family, t_final):
+    calls = []
+    p = _counting_initial(kdv.make_problem("soliton"), calls)
+    d = kdv.Discretization(family, 40, p.length, p.x_lo)
+    kdv.integrate(p, d, kdv.RunConfig(t_final=t_final))
+    assert calls == [d.d3_op.size]
+
+
+@pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
+def test_a_serial_study_samples_each_initial_state_twice(family, monkeypatch):
+    # once in the zero-length run that checks the grid, once in the run
+    calls = []
+    make_problem = kdv.make_problem
+    monkeypatch.setattr(kdv, "make_problem", lambda *args, **kwargs:
+                        _counting_initial(make_problem(*args, **kwargs), calls))
+    monkeypatch.setenv(kdv.THREADS_ENV, "1")
+    kdv.convergence_study("linear", family, [10, 20], kdv.RunConfig(),
+                          params={"c": 1.0})
+    size = 2 if family == "TDCCS" else 1
+    assert sorted(calls) == [10 * size, 10 * size, 20 * size, 20 * size]
 
 
 def test_linear_example_matches_table_row():
