@@ -12,6 +12,7 @@ import csv
 import errno
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -42,9 +43,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices  # command name -> its parser
 
-    def cmd(name, help, handler):
+    def cmd(name, help, handler, scheme_ids=exact.catalogued_scheme_ids):
+        # scheme_ids lists the ids the command accepts, for its refusals
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, scheme_ids=scheme_ids)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", metavar="PATH",
                        help="write the effective config as JSON and exit")
@@ -55,11 +57,13 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("spectrum", "modified-wavenumber table as CSV", _cmd_spectrum)
+    p = cmd("spectrum", "modified-wavenumber table as CSV", _cmd_spectrum,
+            spectral.analysis_scheme_ids)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--samples", type=int, default=400)
 
-    p = cmd("efficiency", "resolving-efficiency table as CSV", _cmd_efficiency)
+    p = cmd("efficiency", "resolving-efficiency table as CSV", _cmd_efficiency,
+            spectral.analysis_scheme_ids)
     p.add_argument("--schemes", default="all",
                    help="comma list of scheme ids, or 'all'")
     p.add_argument("--eps", type=float, default=1e-3, help="tolerance eps_t")
@@ -127,7 +131,7 @@ def load_config(path) -> dict:
 
 
 # namespace entries that steer the front end rather than configure a command
-_META = ("command", "config", "dump_config", "handler")
+_META = ("command", "config", "dump_config", "handler", "scheme_ids")
 
 
 def _is_float(text: str) -> bool:
@@ -188,15 +192,23 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
 
 def _check_output_dirs(cfg):
     """Refuse an output path that cannot be opened for writing (a directory,
-    in a missing or unwritable one, or a name too long) before any
-    computation."""
+    in a folder that is missing, not a directory or unwritable, or a name
+    or path too long) before any computation."""
     for key in ("out", "snapshot", "json"):
         path = cfg.get(key)
         if not path:
             continue
         folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
-            raise UsageError(f"--{key} {path}: directory {folder} does not exist")
+        if folder:
+            try:
+                is_dir = stat.S_ISDIR(os.stat(folder).st_mode)
+            except FileNotFoundError:
+                raise UsageError(f"--{key} {path}: directory {folder} "
+                                 f"does not exist") from None
+            except OSError as err:  # a path too long, a file on the way
+                raise UsageError(f"--{key} {path}: {err.strerror}") from None
+            if not is_dir:
+                raise UsageError(f"--{key} {path}: {folder} is not a directory")
         if os.path.isdir(path):
             raise UsageError(f"--{key} {path}: is a directory")
         folder = folder or "."
@@ -427,7 +439,8 @@ def dispatch(argv=None) -> int:
         _check_output_dirs(cfg)
         return args.handler(cfg)
     except exact.UnknownSchemeError as err:
-        known = ", ".join(sorted(exact.catalogued_scheme_ids()))
+        # only a handler looks a scheme up, so args is parsed by now
+        known = ", ".join(sorted(args.scheme_ids()))
         print(f"error: unknown scheme {err.args[0]!r}; valid schemes: {known}",
               file=sys.stderr)
         return EXIT_USAGE

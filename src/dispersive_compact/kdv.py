@@ -17,8 +17,6 @@ from . import spectral
 from .operators import CompactOperator, FilterOperator, filter_by_name
 from .timeint import DivergenceError, TvdRk3
 
-THREADS_ENV = "DISPERSIVE_COMPACT_THREADS"
-
 
 def _sech(x):
     # np.cosh overflows harmlessly for large |x|; 1/cosh underflows to 0
@@ -536,26 +534,11 @@ def _study_worker(args):
     return integrate(problem, disc, config).norms
 
 
-def max_workers() -> int:
-    """The worker cap: ``DISPERSIVE_COMPACT_THREADS``, an integer >= 1, or
-    the CPU count when unset or empty."""
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1; got {env!r}")
-    return workers
-
-
 def convergence_study(preset: str, family: str, ns: list[int],
                       config: RunConfig,
                       params: dict | None = None) -> ConvergenceReport:
-    """Errors per N, each N run in a pool of up to ``max_workers()``
-    processes; with one worker, or one N, the runs stay in this process.
+    """Errors per N, each N run in a pool of up to one process per CPU;
+    on one CPU, or with one N, the runs stay in this process.
     A preset without an exact solution, and an N whose grid or filter a run
     refuses, are refused before any run: a pool reports a job's error only
     after the jobs ahead of it have finished."""
@@ -571,13 +554,13 @@ def convergence_study(preset: str, family: str, ns: list[int],
              for n in ns]
     for disc in discs:  # a zero-length run checks the grid, step rule and filter
         integrate(problem, disc, replace(config, t_final=0.0))
-    workers = min(max_workers(), len(ns))
+    workers = min(os.cpu_count() or 1, len(ns))
     if workers > 1:
         # multiprocessing is loaded only by the runs that use it
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = [(preset, params, family, n, config) for n in ns]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             errors = list(pool.map(_study_worker, jobs))
     else:
         # the serial runs step the operators that the zero-length runs built

@@ -262,7 +262,7 @@ def test_a_serial_study_samples_each_initial_state_twice(family, monkeypatch):
     make_problem = kdv.make_problem
     monkeypatch.setattr(kdv, "make_problem", lambda *args, **kwargs:
                         _counting_initial(make_problem(*args, **kwargs), calls))
-    monkeypatch.setenv(kdv.THREADS_ENV, "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     kdv.convergence_study("linear", family, [10, 20], kdv.RunConfig(),
                           params={"c": 1.0})
     size = 2 if family == "TDCCS" else 1
@@ -318,19 +318,62 @@ def test_convergence_report_rates_and_serialization():
 
 
 def test_convergence_study_serial_parallel_agree(monkeypatch):
-    # the thread setting alone picks the path: 1 in this process, 2 a pool
+    # the CPU count alone picks the path: 1 in this process, 2 a pool
     errors = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv(kdv.THREADS_ENV, threads)
-        errors[threads] = kdv.convergence_study(
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        errors[cpus] = kdv.convergence_study(
             "linear", "TDCNCS", [10, 20], kdv.RunConfig(), params={"c": 1.0}
         ).errors
-    assert errors["1"] == errors["2"]
+    assert errors[1] == errors[2]
 
 
-def test_max_workers_defaults_to_the_cpu_count(monkeypatch):
-    monkeypatch.delenv(kdv.THREADS_ENV, raising=False)
-    assert kdv.max_workers() == (os.cpu_count() or 1)
+@pytest.mark.parametrize("cpus, ns, pools", [
+    (2, [10, 20, 30], [2]),
+    (1, [10, 20, 30], []),
+    (2, [10], []),
+])
+def test_a_study_pools_when_it_has_more_than_one_cpu_and_n(cpus, ns, pools,
+                                                           monkeypatch):
+    import concurrent.futures
+
+    opened, discs = [], []
+    integrate = kdv.integrate
+
+    class RecordingPool:
+        """Records each pool's worker count; runs its jobs in this process."""
+
+        def __init__(self, workers):
+            opened.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def recording_integrate(problem, disc, config):
+        discs.append((disc, config.t_final))
+        return integrate(problem, disc, config)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(kdv, "integrate", recording_integrate)
+    kdv.convergence_study("linear", "TDCNCS", ns, kdv.RunConfig(t_final=0.01),
+                          params={"c": 1.0})
+    assert opened == pools
+    pre_runs = [disc for disc, t_final in discs if t_final == 0.0]
+    runs = [disc for disc, t_final in discs if t_final != 0.0]
+    assert [disc.n for disc in pre_runs] == ns
+    assert [disc.n for disc in runs] == ns
+    # in this process the runs step the zero-length runs' discretizations;
+    # a pool's workers build their own
+    shared = [run is pre for run, pre in zip(runs, pre_runs)]
+    assert shared == [not pools] * len(ns)
 
 
 def test_convergence_study_requires_increasing_ns():
@@ -367,7 +410,7 @@ def test_convergence_study_refuses_a_bad_n_before_any_run(ns, config, message,
             raise AssertionError("a study job ran")
         return zero_length_run(problem, disc, config)
 
-    monkeypatch.setenv(kdv.THREADS_ENV, "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(kdv, "_study_worker", no_job)
     monkeypatch.setattr(kdv, "integrate", no_run)
     with pytest.raises(ValueError, match=message):
