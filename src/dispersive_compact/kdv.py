@@ -182,7 +182,10 @@ def make_problem(preset: str, **params) -> KdvProblem:
         raise KeyError(
             f"unknown preset {preset!r}; valid: {', '.join(preset_names())}"
         ) from None
-    return factory(**params)
+    try:
+        return factory(**params)
+    except TypeError as err:  # a parameter the preset does not take
+        raise ValueError(f"bad parameters for preset {preset!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +436,12 @@ def integrate(problem: KdvProblem, disc: Discretization,
     # a zero-length run takes no step, and every other run at least one
     n_steps = max(1, round(t_final / dt_nominal)) if t_final > 0 else 0
     dt = t_final / n_steps if n_steps else 0.0
-    check_timestep(problem, disc, dt, values)
-
+    # a filter is refused before the step guard can warn
     filt = None
     if config.filter is not None:
         spec = filter_by_name(config.filter.name, config.filter.alpha_f)
         filt = FilterOperator(spec, disc.n, disc.d3_op.grid_kind)
+    check_timestep(problem, disc, dt, values)
 
     rate = bind_rate(problem, disc)
     history = []

@@ -210,10 +210,10 @@ FILTER_ORDERS = {"F8": 4, "F10": 5, "F12": 6}
 
 
 def filter_by_name(name: str, alpha_f: float) -> FilterSpec:
-    try:
-        return derive_filter(FILTER_ORDERS[name], alpha_f)
-    except KeyError:
-        raise exact.UnknownSchemeError(name) from None
+    if name not in FILTER_ORDERS:
+        raise ValueError(f"unknown filter {name!r}; "
+                         f"valid: {', '.join(sorted(FILTER_ORDERS))}")
+    return derive_filter(FILTER_ORDERS[name], alpha_f)
 
 
 class FilterOperator(CompactOperator):

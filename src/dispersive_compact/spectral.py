@@ -264,6 +264,8 @@ _LS_FAMILIES = {
     "TDCCS-LS-2": "TDCCS-2",
     "TDCCS-LS-3": "TDCCS-3",
 }
+# least squares needs a free implicit coefficient, alpha or beta
+_LS_VARIANTS = ("T4", "T6", "T8", "P6", "P8", "P10")
 
 _symbol_cache: dict[str, SchemeSymbol] = {}
 
@@ -295,10 +297,7 @@ def analysis_scheme_ids() -> list[str]:
     for fam, base in {**_CI_FAMILIES, **_LS_FAMILIES}.items():
         for bid in exact.catalogued_scheme_ids():
             b_fam, variant = exact.split_scheme_id(bid)
-            zero_slots = exact.VARIANT_CONSTRAINTS[variant][0]
-            if fam in _LS_FAMILIES and {"alpha", "beta"} <= zero_slots:
-                continue  # least squares needs a free implicit coefficient
-            if b_fam == base:
+            if b_fam == base and (fam in _CI_FAMILIES or variant in _LS_VARIANTS):
                 ids.add(f"{fam}-{variant}")
     return sorted(ids)
 
@@ -425,20 +424,19 @@ def ls_optimize(family: str = "TDCCS", variant: str = "T8",
     if family not in _LS_FAMILIES.values():
         raise ValueError(f"LS optimization takes the families "
                          f"{', '.join(_LS_FAMILIES.values())}; got {family!r}")
+    if variant not in _LS_VARIANTS:
+        raise ValueError(f"LS optimization takes the variants "
+                         f"{', '.join(_LS_VARIANTS)}, which keep a free alpha "
+                         f"or beta; got {variant!r}")
     if not (0.0 < r <= 1.0):
         raise ValueError("r must be in (0, 1]")
     key = (family, variant, r)
     if key in _ls_cache:
         return _ls_cache[key]
     template = exact.family_template(family)
-    try:
-        zero, _order = exact.VARIANT_CONSTRAINTS[variant]
-    except KeyError:
-        raise exact.UnknownSchemeError(f"{family}-{variant}") from None
+    zero, _order = exact.VARIANT_CONSTRAINTS[variant]
     lhs_free = [u for u in ("alpha", "beta") if u not in zero]
     rhs_free = [u for u in ("a", "b", "c") if u not in zero]
-    if not lhs_free:
-        raise ValueError("LS variants must retain an implicit coefficient")
     conditions = exact.order_conditions(template, 2 * len(lhs_free))
     conditions = conditions[: len(lhs_free)]
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dispersive_compact
-from dispersive_compact import exact, kdv, spectral
+from dispersive_compact import exact, kdv, spectral, timeint
 from dispersive_compact.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -61,9 +61,11 @@ def test_coeffs_unknown_scheme_lists_catalogue(capsys):
     (("coeffs", "--scheme"), exact.catalogued_scheme_ids),
     (("spectrum", "--scheme"), spectral.analysis_scheme_ids),
     (("efficiency", "--schemes"), spectral.analysis_scheme_ids),
+    (("stability", "--scheme"), spectral.analysis_scheme_ids),
 ])
 def test_unknown_scheme_lists_the_ids_the_command_accepts(argv, ids, capsys):
-    # spectrum and efficiency also take the CI and LS ids that coeffs refuses
+    # spectrum, efficiency and stability also take the CI and LS ids that
+    # coeffs refuses (stability then refuses a CI id on its own)
     assert run_cli(*argv, "TDCCS-CI-T9") == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == (f"error: unknown scheme 'TDCCS-CI-T9'; valid schemes: "
@@ -389,6 +391,16 @@ def test_ls_optimize_refuses_other_families_naming_the_four(family, capsys):
     assert "TDCCS, TDCCS-1, TDCCS-2, TDCCS-3" in err
 
 
+@pytest.mark.parametrize("variant", ["Q3", "E6"])
+def test_ls_optimize_refuses_other_variants_naming_the_six(variant, capsys):
+    # E6 is a scheme variant, but it has no free alpha or beta to fit
+    assert run_cli("ls-optimize", "--variant", variant) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: LS optimization takes the variants T4, T6, T8, P6, P8, P10, "
+        f"which keep a free alpha or beta; got {variant!r}\n")
+
+
 def test_run_summary(tmp_path):
     out = tmp_path / "sum.json"
     snap = tmp_path / "snap.csv"
@@ -498,12 +510,42 @@ def test_output_in_missing_directory_is_refused_before_any_run(
 
 
 def test_experiment_flags_read_kdv_tables(capsys):
-    dt_rule = next(a for a in build_parser().commands["run"]._actions
-                   if a.dest == "dt_rule")
-    assert dt_rule.choices == list(kdv.DT_RULES)
+    for command in ("run", "converge"):
+        actions = {a.dest: a for a in build_parser().commands[command]._actions}
+        assert actions["dt_rule"].choices == list(kdv.DT_RULES)
+        assert actions["scheme"].choices == list(kdv.FAMILY_OPS)
+        assert actions["example"].choices == kdv.preset_names()
     assert run_cli("run", "--scheme", "tdcxx") == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: unknown experiment scheme 'tdcxx'; valid: tdcncs, tdccs\n")
+        "error: dispersive-compact run: argument --scheme: invalid choice: "
+        "'TDCXX' (choose from 'TDCNCS', 'TDCCS')\n")
+
+
+FILTER_REFUSAL = "error: unknown filter 'F99'; valid: F10, F12, F8\n"
+PRESET_REFUSAL = ("error: bad parameters for preset 'soliton': "
+                  "_soliton() got an unexpected keyword argument 'c'\n")
+
+
+@pytest.mark.filterwarnings("error")  # no step-guard warning comes first
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--filter", "F99:0.4:20"), FILTER_REFUSAL),
+    # a step far above the dispersive bound
+    (("run", "--filter", "F99:0.4:20", "--dt-rule", "h2", "--N", "20"),
+     FILTER_REFUSAL),
+    (("converge", "--filter", "F99:0.4:20", "--Ns", "20,40"), FILTER_REFUSAL),
+    (("run", "--example", "soliton", "--c", "3"), PRESET_REFUSAL),
+    (("converge", "--example", "soliton", "--c", "3"), PRESET_REFUSAL),
+], ids=["run-filter", "run-filter-h2", "converge-filter", "run-preset",
+        "converge-preset"])
+def test_filter_and_preset_parameter_refusals_are_one_line(argv, message,
+                                                           monkeypatch, capsys):
+    def no_step(*args):
+        raise AssertionError("a run stepped")
+
+    monkeypatch.setattr(timeint.TvdRk3, "advance", no_step)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # a study in this process
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -698,8 +740,6 @@ def test_filter_flag_parsing():
     assert (fc.name, fc.alpha_f, fc.every) == ("F12", 0.4, 20)
     with pytest.raises(UsageError):
         parse_filter_flag("F12:0.4")
-    with pytest.raises(UsageError):
-        parse_filter_flag("F99:0.4:20")
 
 
 def test_bad_flag_value_is_usage_error(capsys):

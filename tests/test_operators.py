@@ -276,8 +276,9 @@ def test_filter_alpha_range_names_the_value(alpha_f):
 
 
 def test_unknown_filter_name():
-    with pytest.raises(exact.UnknownSchemeError):
+    with pytest.raises(ValueError) as err:
         filter_by_name("F99", 0.4)
+    assert str(err.value) == "unknown filter 'F99'; valid: F10, F12, F8"
 
 
 @pytest.mark.parametrize("name", ["F8", "F10", "F12"])

@@ -137,10 +137,12 @@ def test_band_vanishing_between_grid_modes_rejected(scheme_id):
      r"r must be in \(0, 1\]"),
     (lambda: spectral.ls_optimize("TDCCS", "T8", 1.5), ValueError,
      r"r must be in \(0, 1\]"),
-    (lambda: spectral.ls_optimize("TDCCS", "Q3"), exact.UnknownSchemeError,
-     "TDCCS-Q3"),
-    (lambda: spectral.ls_optimize("TDCCS", "E6"), ValueError,
-     "must retain an implicit coefficient"),
+    pytest.param(lambda: spectral.ls_optimize("TDCCS", "Q3"), ValueError,
+                 "takes the variants T4, T6, T8, P6, P8, P10, .*; got 'Q3'",
+                 id="ls-variant-Q3"),
+    pytest.param(lambda: spectral.ls_optimize("TDCCS", "E6"), ValueError,
+                 "takes the variants T4, T6, T8, P6, P8, P10, .*; got 'E6'",
+                 id="ls-variant-E6"),
 ])
 def test_analysis_refuses_what_it_cannot_evaluate(call, error, message):
     with pytest.raises(error, match=message):
