@@ -43,10 +43,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices  # command name -> its parser
 
-    def cmd(name, help, handler, scheme_ids=exact.catalogued_scheme_ids):
-        # scheme_ids lists the ids the command accepts, for its refusals
+    def cmd(name, help, handler):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, scheme_ids=scheme_ids)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", metavar="PATH",
                        help="write the effective config as JSON and exit")
@@ -57,21 +56,18 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = cmd("spectrum", "modified-wavenumber table as CSV", _cmd_spectrum,
-            spectral.analysis_scheme_ids)
+    p = cmd("spectrum", "modified-wavenumber table as CSV", _cmd_spectrum)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--samples", type=int, default=400)
 
-    p = cmd("efficiency", "resolving-efficiency table as CSV", _cmd_efficiency,
-            spectral.analysis_scheme_ids)
+    p = cmd("efficiency", "resolving-efficiency table as CSV", _cmd_efficiency)
     p.add_argument("--schemes", default="all",
                    help="comma list of scheme ids, or 'all'")
     p.add_argument("--eps", type=float, default=1e-3, help="tolerance eps_t")
     p.add_argument("--mode", choices=["band_edge", "strict"],
                    default="band_edge")
 
-    p = cmd("stability", "spectral radius and CFL bound", _cmd_stability,
-            spectral.analysis_scheme_ids)
+    p = cmd("stability", "spectral radius and CFL bound", _cmd_stability)
     p.add_argument("--scheme", default="TDCCS-T8")
     p.add_argument("--n", type=int, default=1024)
 
@@ -133,7 +129,7 @@ def load_config(path) -> dict:
 
 
 # namespace entries that steer the front end rather than configure a command
-_META = ("command", "config", "dump_config", "handler", "scheme_ids")
+_META = ("command", "config", "dump_config", "handler")
 
 
 def _is_float(text: str) -> bool:
@@ -296,9 +292,7 @@ def _cmd_efficiency(cfg) -> int:
 
 
 def _cmd_stability(cfg) -> int:
-    if spectral.scheme_symbol(cfg["scheme"]).derivative_order % 2 == 0:
-        raise UsageError(f"{cfg['scheme']} has no time step: stability is "
-                         f"defined for odd derivative orders")
+    spectral.scheme_symbol(cfg["scheme"]).require_odd()
     eigenvalues = spectral.circulant_eigenvalues(cfg["scheme"], cfg["n"])
     radius = float(np.max(np.abs(eigenvalues)))
     doc = {
@@ -416,12 +410,6 @@ def dispatch(argv=None) -> int:
             return EXIT_OK
         _check_output_dirs(cfg)
         return args.handler(cfg)
-    except exact.UnknownSchemeError as err:
-        # only a handler looks a scheme up, so args is parsed by now
-        known = ", ".join(sorted(args.scheme_ids()))
-        print(f"error: unknown scheme {err.args[0]!r}; valid schemes: {known}",
-              file=sys.stderr)
-        return EXIT_USAGE
     except (DivergenceError, SingularOperatorError, exact.DerivationError) as err:
         # before ValueError: SingularOperatorError and DerivationError are ones
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -32,7 +32,12 @@ class DerivationError(ValueError):
 
 
 class UnknownSchemeError(KeyError):
-    """Raised for a scheme identifier not in the catalogue."""
+    """Raised as ``UnknownSchemeError(scheme_id, valid_ids)`` for an id that a
+    lookup does not accept; the message names it and the ids it accepts."""
+
+    def __str__(self):
+        return (f"unknown scheme {self.args[0]!r}; "
+                f"valid schemes: {', '.join(sorted(self.args[1]))}")
 
 
 @dataclass(frozen=True)
@@ -568,13 +573,10 @@ _ALIASES = {
 
 def split_scheme_id(scheme_id: str) -> tuple[str, str]:
     """Split 'FAMILY-V' into family and variant suffix, resolving aliases."""
-    for suffix in VARIANT_CONSTRAINTS:
-        tail = "-" + suffix
-        if scheme_id.endswith(tail):
-            family = scheme_id[: -len(tail)]
-            family = _ALIASES.get(family, family)
-            return family, suffix
-    raise UnknownSchemeError(scheme_id)
+    family, dash, variant = scheme_id.rpartition("-")
+    if not (dash and variant in VARIANT_CONSTRAINTS):
+        raise UnknownSchemeError(scheme_id, catalogued_scheme_ids())
+    return _ALIASES.get(family, family), variant
 
 
 def catalogued_scheme_ids() -> list[str]:
@@ -587,15 +589,13 @@ def catalogued_scheme_ids() -> list[str]:
 def builtin_scheme(scheme_id: str) -> tuple[SchemeTemplate, SchemeCoefficients]:
     """Look up a catalogued scheme; derived-only families are computed once."""
     family, variant = split_scheme_id(scheme_id)
-    if family not in _FAMILY_TEMPLATES:
-        raise UnknownSchemeError(scheme_id)
-    template = _FAMILY_TEMPLATES[family]
     name = f"{family}-{variant}"
     if name in _CATALOGUE:
-        return template, _CATALOGUE[name]
+        return _FAMILY_TEMPLATES[family], _CATALOGUE[name]
+    if variant not in _DERIVED_VARIANTS.get(family, ()):
+        raise UnknownSchemeError(scheme_id, catalogued_scheme_ids())
+    template = _FAMILY_TEMPLATES[family]
     if name not in _derived_cache:
-        if variant not in _DERIVED_VARIANTS.get(family, ()):
-            raise UnknownSchemeError(scheme_id)
         zero, order = VARIANT_CONSTRAINTS[variant]
         _derived_cache[name] = derive_coefficients(template, zero, order, family=name)
     return template, _derived_cache[name]
@@ -606,4 +606,4 @@ def family_template(family: str) -> SchemeTemplate:
     try:
         return _FAMILY_TEMPLATES[family]
     except KeyError:
-        raise UnknownSchemeError(family) from None
+        raise UnknownSchemeError(family, _FAMILY_TEMPLATES) from None

@@ -418,9 +418,22 @@ def check_timestep(problem: KdvProblem, disc: Discretization, dt: float,
 MAX_STEPS = 10**8
 
 
+def step_plan(problem: KdvProblem, config: RunConfig, h: float):
+    """(t_final, n_steps, dt) of a run at spacing ``h``: the config's nominal
+    step rounded to whole steps, refused beyond MAX_STEPS."""
+    t_final = problem.t_final if config.t_final is None else float(config.t_final)
+    dt_nominal = config.timestep(h)
+    if not (dt_nominal > 0 and t_final / dt_nominal <= MAX_STEPS):
+        raise ValueError(f"time step {dt_nominal:.3g} gives more than "
+                         f"{MAX_STEPS:.0e} steps to t_final={t_final:.6g}")
+    # a zero-length run takes no step, and every other run at least one
+    n_steps = max(1, round(t_final / dt_nominal)) if t_final > 0 else 0
+    return t_final, n_steps, (t_final / n_steps if n_steps else 0.0)
+
+
 def integrate(problem: KdvProblem, disc: Discretization,
               config: RunConfig) -> RunResult:
-    t_final = problem.t_final if config.t_final is None else float(config.t_final)
+    t_final, n_steps, dt = step_plan(problem, config, disc.h)
     # the loop steps the stepper's own row, in place
     stepper = TvdRk3((disc.d3_op.size,))
     values = stepper.u
@@ -428,14 +441,6 @@ def integrate(problem: KdvProblem, disc: Discretization,
     nodes = disc.node_values(values)  # a view: it follows the stepped row
     mass0 = disc.h * float(np.sum(nodes))
     mass_scale = disc.h * float(np.sum(np.abs(nodes)))
-
-    dt_nominal = config.timestep(disc.h)
-    if not (dt_nominal > 0 and t_final / dt_nominal <= MAX_STEPS):
-        raise ValueError(f"time step {dt_nominal:.3g} gives more than "
-                         f"{MAX_STEPS:.0e} steps to t_final={t_final:.6g}")
-    # a zero-length run takes no step, and every other run at least one
-    n_steps = max(1, round(t_final / dt_nominal)) if t_final > 0 else 0
-    dt = t_final / n_steps if n_steps else 0.0
     # a filter is refused before the step guard can warn
     filt = None
     if config.filter is not None:
@@ -555,7 +560,8 @@ def convergence_study(preset: str, family: str, ns: list[int],
         raise ValueError(f"preset {preset!r} has no exact solution")
     discs = [Discretization(family, n, problem.length, problem.x_lo)
              for n in ns]
-    for disc in discs:  # a zero-length run checks the grid, step rule and filter
+    for disc in discs:  # the step count, then a zero-length run's grid and filter
+        step_plan(problem, config, disc.h)
         integrate(problem, disc, replace(config, t_final=0.0))
     workers = min(os.cpu_count() or 1, len(ns))
     if workers > 1:

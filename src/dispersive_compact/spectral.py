@@ -100,6 +100,7 @@ class SchemeSymbol:
     alpha: Fraction
     beta: Fraction
     transfer: "SchemeSymbol | None" = None  # interpolation factor (CI variants)
+    scheme_id: str | None = None  # the id that ``scheme_symbol`` resolved
 
     @functools.cached_property
     def _factored(self):
@@ -169,13 +170,15 @@ class SchemeSymbol:
             out *= self.transfer._evaluate(trig)
         return out
 
-    def _require_odd(self):
+    def require_odd(self):
+        """Refuse an even order: it has no psi, efficiency or time step."""
         if self.derivative_order % 2 == 0:
-            raise ValueError("psi is defined for odd derivative orders")
+            raise ValueError(f"{self.scheme_id}: psi, efficiency and stability"
+                             f" are defined for odd derivative orders")
 
     def psi(self, omega):
         """Scaled modified wavenumber psi(w); w may exceed pi for fine modes."""
-        self._require_odd()
+        self.require_odd()
         return self._evaluate(_trig(np.asarray(omega, dtype=float)))
 
     def transfer_function(self, omega):
@@ -237,7 +240,7 @@ def _horner(coeffs, y):
     return acc
 
 
-def _symbol_from_parts(template, coeffs, transfer=None) -> SchemeSymbol:
+def _symbol_from_parts(template, coeffs, transfer=None, scheme_id=None):
     return SchemeSymbol(
         derivative_order=template.derivative_order,
         grid_kind=template.grid_kind,
@@ -245,6 +248,7 @@ def _symbol_from_parts(template, coeffs, transfer=None) -> SchemeSymbol:
         alpha=coeffs.alpha,
         beta=coeffs.beta,
         transfer=transfer,
+        scheme_id=scheme_id,
     )
 
 
@@ -274,19 +278,21 @@ def scheme_symbol(scheme_id: str) -> SchemeSymbol:
     """Resolve any catalogued / derived / CI / LS scheme id to its symbol."""
     if scheme_id in _symbol_cache:
         return _symbol_cache[scheme_id]
-    family, variant = exact.split_scheme_id(scheme_id)
-    if family in _CI_FAMILIES:
-        base_id = f"{_CI_FAMILIES[family]}-{variant}"
-        template, coeffs = exact.builtin_scheme(base_id)
-        sym = _symbol_from_parts(template, coeffs,
-                                 transfer=scheme_symbol("CI-P10"))
-    elif family in _LS_FAMILIES:
-        coeffs = ls_optimize(_LS_FAMILIES[family], variant)
-        template = exact.family_template(_LS_FAMILIES[family])
-        sym = _symbol_from_parts(template, coeffs)
-    else:
-        template, coeffs = exact.builtin_scheme(scheme_id)
-        sym = _symbol_from_parts(template, coeffs)
+    transfer = None
+    try:
+        family, variant = exact.split_scheme_id(scheme_id)
+        if family in _CI_FAMILIES:
+            template, coeffs = exact.builtin_scheme(
+                f"{_CI_FAMILIES[family]}-{variant}")
+            transfer = scheme_symbol("CI-P10")
+        elif family in _LS_FAMILIES and variant in _LS_VARIANTS:
+            coeffs = ls_optimize(_LS_FAMILIES[family], variant)
+            template = exact.family_template(_LS_FAMILIES[family])
+        else:
+            template, coeffs = exact.builtin_scheme(scheme_id)
+    except exact.UnknownSchemeError:
+        raise exact.UnknownSchemeError(scheme_id, analysis_scheme_ids()) from None
+    sym = _symbol_from_parts(template, coeffs, transfer, f"{family}-{variant}")
     _symbol_cache[scheme_id] = sym
     return sym
 
@@ -348,7 +354,7 @@ def resolving_efficiency(scheme_id: str, eps_t: float,
     if mode not in ("band_edge", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     sym = scheme_symbol(scheme_id)
-    sym._require_odd()  # before the scan, which does not call psi
+    sym.require_odd()  # before the scan, which does not call psi
     d = sym.derivative_order
 
     def err(w):

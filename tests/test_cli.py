@@ -65,11 +65,13 @@ def test_coeffs_unknown_scheme_lists_catalogue(capsys):
 ])
 def test_unknown_scheme_lists_the_ids_the_command_accepts(argv, ids, capsys):
     # spectrum, efficiency and stability also take the CI and LS ids that
-    # coeffs refuses (stability then refuses a CI id on its own)
-    assert run_cli(*argv, "TDCCS-CI-T9") == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == (f"error: unknown scheme 'TDCCS-CI-T9'; valid schemes: "
-                   f"{', '.join(sorted(ids()))}\n")
+    # coeffs refuses (stability then refuses a CI id on its own); TDCCS-E2,
+    # which TDCCS-CI-E2 composes, is itself no scheme
+    for typed in ("TDCCS-CI-T9", "TDCCS-CI-E2"):
+        assert run_cli(*argv, typed) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: unknown scheme '{typed}'; valid schemes: "
+                       f"{', '.join(sorted(ids()))}\n")
 
 
 def test_spectrum_csv(tmp_path):
@@ -322,7 +324,7 @@ def test_stability_json(tmp_path):
 
 @pytest.mark.parametrize("scheme, message", [
     # an interpolation has eigenvalues but no time step
-    ("CI-T8", "CI-T8 has no time step: stability is defined for odd "
+    ("CI-T8", "CI-T8: psi, efficiency and stability are defined for odd "
               "derivative orders"),
     # a CI-composed symbol is no circulant of its own
     ("TDCCS-CI-T8", "no standalone circulant"),
@@ -841,7 +843,8 @@ def test_spectral_commands_run_without_mpmath(monkeypatch):
         assert dispatch(["efficiency", "--schemes", "all"]) == EXIT_OK
 
 
-def _dispatch_quietly(argv):
+def _dispatch_quietly(argv) -> str:
+    """Stderr of a run that exits 0, 1 or 2, and that refuses in one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)
@@ -852,6 +855,7 @@ def _dispatch_quietly(argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)
         assert lines[0].startswith(("error:", "numerical failure:")), (argv, lines)
+    return err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -867,3 +871,29 @@ def test_converge_fuzz_never_raises(argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "cpu_count", lambda: 1)
         _dispatch_quietly(argv)
+
+
+@st.composite
+def _analysis_id(draw):
+    """A family of an analysis id, under a CI, LS or TE (alias) infix or
+    none, with its variant or another suffix: ids that the analysis commands
+    accept, aliases that they resolve and near misses that they refuse."""
+    sid = draw(st.sampled_from(spectral.analysis_scheme_ids()))
+    family, variant = exact.split_scheme_id(sid)
+    head, _, tail = family.replace("-CI", "").replace("-LS", "").partition("-")
+    family = head + draw(st.sampled_from(("", "-CI", "-LS", "-TE"))) + (
+        "-" + tail if tail else "")
+    if draw(st.booleans()):
+        variant = draw(st.sampled_from((*exact.VARIANT_CONSTRAINTS, "T9", "")))
+    return f"{family}-{variant}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(("spectrum", "efficiency", "stability")),
+       scheme=_analysis_id())
+def test_analysis_fuzz_names_the_typed_id(command, scheme):
+    flag = "--schemes" if command == "efficiency" else "--scheme"
+    more = ["--n", "64"] if command == "stability" else []
+    err = _dispatch_quietly([command, flag, scheme, *more])
+    if "unknown scheme" in err:
+        assert err.startswith(f"error: unknown scheme {scheme!r}; "), err

@@ -1,5 +1,6 @@
 """Exact rational derivation of scheme coefficients."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -225,6 +226,17 @@ def test_truncation_lead_is_the_fraction_residual(scheme_id):
     constant, degree = taylor_oracle.leading_truncation_error(template, coeffs)
     assert (lead.constant_q, lead.derivative_index) == (constant, degree)
     assert lead.power_of_h == degree - template.derivative_order
+
+
+@pytest.mark.parametrize("scheme_id", ["TDCNCS-T8", "TDCCS-T8", "CCS-T8"])
+def test_truncation_lead_search_steps_past_a_matched_degree(scheme_id):
+    # no catalogued scheme is superconvergent, so only an understated order
+    # makes the search step past a degree that the scheme matches
+    template, coeffs = exact.builtin_scheme(scheme_id)
+    understated = dataclasses.replace(coeffs,
+                                      formal_order=coeffs.formal_order - 2)
+    assert exact.leading_truncation_error(template, understated) == \
+        exact.leading_truncation_error(template, coeffs)
 
 
 def _solve(rows, rhs):

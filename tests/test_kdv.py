@@ -396,6 +396,8 @@ def test_convergence_study_refuses_a_preset_without_exact_solution_first(
     ([4, 40], kdv.RunConfig(), "N=4 too small for stencil"),
     ([10, 40], kdv.RunConfig(filter=kdv.FilterConfig("F12", 0.4, 20)),
      "N=10 too small for filter width 6"),
+    # to t = 0.5 at dt = 0.01 h^3, N = 100000 takes about 5e12 steps
+    ([40, 100000], kdv.RunConfig(t_final=0.5), r"more than 1e\+08 steps"),
 ])
 def test_convergence_study_refuses_a_bad_n_before_any_run(ns, config, message,
                                                           monkeypatch):
