@@ -288,12 +288,13 @@ class Discretization:
 
 def bind_rate(problem: KdvProblem, disc: Discretization):
     """The rate  -(g(u))_x - eps * u_xxx  as ``rate(v, out)``, which writes it
-    into ``out`` and returns it.  The operators' apply paths, -eps and kappa
-    are looked up once, here, and the flux g(u) and its derivative have
-    buffers of their own, so a step's three rates make no Python call below
-    this one on the dense path.  Non-finite values are left to the time
-    stepper's check."""
-    third, neg_eps, multiply = disc.d3_op.apply, -problem.epsilon, np.multiply
+    into ``out`` and returns it.  The operators' apply paths are looked up
+    once, here, -eps and kappa are bound as 0-d arrays (no Python float
+    reaches a ufunc), and the flux g(u) and its derivative have buffers of
+    their own, so a step's three rates make no Python call below this one on
+    the dense path.  Non-finite values are left to the time stepper's check."""
+    third, multiply = disc.d3_op.apply, np.multiply
+    neg_eps = np.array(-problem.epsilon, float)
     if problem.kappa == 0.0:
         # no flux: D1 is not applied, so its dense matrix is never built
         def rate(v, out):
@@ -302,7 +303,8 @@ def bind_rate(problem: KdvProblem, disc: Discretization):
 
         return rate
 
-    first, kappa, subtract = disc.d1_op.apply, problem.kappa, np.subtract
+    first, subtract = disc.d1_op.apply, np.subtract
+    kappa = np.array(problem.kappa, float)
     flux, d_flux = np.empty((2, disc.d1_op.size))
 
     def rate(v, out):

@@ -65,20 +65,22 @@ class TvdRk3:
         self._dt = None
 
     def _use(self, dt) -> None:
-        """Refuse a non-finite ``dt``, and set the weights of a new one."""
+        """Refuse a non-finite ``dt``, and bind a new one and its weights."""
         if dt != self._dt:
             if not math.isfinite(dt):
                 raise ValueError(f"dt must be finite, got {dt}")
             self._dt = dt
+            # dt as the stage ufunc would promote it, converted once
+            self._dt_array = np.array(dt, np.result_type(self.stages, dt))
             # the transposes put the three weights on the last axis
             self._w2.T[...] = (0.25, 0.75, 0.25 * dt)
             self._w3.T[...] = (_THIRD, _TWO_THIRDS * dt, _TWO_THIRDS)
 
-    def _run(self, rhs, dt, steps) -> None:
+    def _run(self, rhs, steps) -> None:
         """The stage body: ``steps`` unchecked steps of the own row, with the
-        weights that ``_use(dt)`` set."""
+        dt and weights that ``_use(dt)`` set."""
         u1, own, r, u2, p0, p1, p2, head, tail, prod = self._views
-        w2, w3 = self._w2, self._w3
+        dt, w2, w3 = self._dt_array, self._w2, self._w3
         mul, add = np.multiply, np.add
         for _ in range(steps):
             rhs(own, r)
@@ -103,7 +105,7 @@ class TvdRk3:
     def step(self, rhs, dt, step_index=None, time=None) -> None:
         """Advance the own row ``u`` by one step of size ``dt``, in place."""
         self._use(dt)
-        self._run(rhs, dt, 1)
+        self._run(rhs, 1)
         if not self._finite():
             u1, u2 = self.stages[0], self.stages[3]
             stage = 1 if not np.isfinite(u1).all() else (
@@ -126,7 +128,7 @@ class TvdRk3:
         for first in range(first_step, end, CHECK_EVERY):
             block = min(CHECK_EVERY, end - first)
             start[...] = own
-            self._run(rhs, dt, block)
+            self._run(rhs, block)
             if not self._finite():
                 own[...] = start
                 for k in range(first, first + block):

@@ -596,6 +596,34 @@ def test_a_run_without_a_flux_never_builds_the_first_derivative():
     assert d.d1_op._dense is None
 
 
+@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
+@pytest.mark.parametrize("preset, params", [("linear", {"c": 8.0}),
+                                            ("soliton", {})],
+                         ids=["linear", "soliton"])
+def test_no_python_scalar_reaches_a_ufunc_in_a_step(family, preset, params,
+                                                    monkeypatch):
+    p = kdv.make_problem(preset, **params)
+    d = kdv.Discretization(family, 20, p.length, p.x_lo)
+    d.d3_op.dense_matrix()
+    d.d1_op.dense_matrix()
+    stepper = TvdRk3((d.d3_op.size,))
+    stepper.u[...] = d.initial_state(p)
+    seen = []
+
+    def spy(ufunc):
+        def call(*args, **kwargs):
+            seen.extend((ufunc.__name__, type(a)) for a in args)
+            return ufunc(*args, **kwargs)
+        return call
+
+    # installed before bind_rate and advance look the ufuncs up
+    for name in ("multiply", "add", "subtract"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    stepper.advance(kdv.bind_rate(p, d), 0.01 * d.h ** 3, 3)
+    assert {name for name, _ in seen} >= {"multiply", "add"}
+    assert [(name, t) for name, t in seen if not issubclass(t, np.ndarray)] == []
+
+
 def test_divergence_reports_its_step():
     p = kdv.make_problem("soliton")
     d = kdv.Discretization("TDCNCS", 40, p.length, p.x_lo)

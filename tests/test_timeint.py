@@ -244,6 +244,18 @@ def test_step_and_advance_give_the_bytes_of_the_plain_loop(shape):
     assert other.u.tobytes() == u.tobytes()
 
 
+def test_stage_one_takes_dt_at_the_precision_numpy_promotes_it_to():
+    # a float64 dt on a float32 state: r * dt in float64, rounded once
+    stepper = TvdRk3((1000,), np.float32)
+    stepper.u[...] = u = np.random.default_rng(5).normal(
+        size=1000).astype(np.float32)
+    dt = np.float64(0.1234567891234)
+    stepper.step(lambda v, out: np.multiply(v, np.float32(-1.7), out), dt)
+    r = u * np.float32(-1.7)
+    assert stepper.stages[0].tobytes() == (
+        (r * dt).astype(np.float32) + u).tobytes()
+
+
 def test_finite_state_whose_sum_of_squares_overflows_advances():
     # every block's u.u overflows; the entries clear each of them
     stepper = TvdRk3((4,))
