@@ -288,27 +288,25 @@ class Discretization:
 
 def bind_rate(problem: KdvProblem, disc: Discretization):
     """The rate  -(g(u))_x - eps * u_xxx  as ``rate(v, out)``, which writes it
-    into ``out`` and returns it.  The operators' apply paths are looked up
-    once, here, -eps and kappa are bound as 0-d arrays (no Python float
-    reaches a ufunc), and the flux g(u) and its derivative have buffers of
-    their own, so a step's three rates make no Python call below this one on
-    the dense path.  Non-finite values are left to the time stepper's check."""
-    third, multiply = disc.d3_op.apply, np.multiply
-    neg_eps = np.array(-problem.epsilon, float)
+    into ``out`` and returns it.  -eps is folded into D3 once per run
+    (``CompactOperator.scaled``), so without a flux the rate is that
+    operator's own apply: on the dense path the matrix's ``dot``.  The apply
+    paths are looked up once, here, kappa is bound as a 0-d array (no Python
+    float reaches a ufunc), and the flux g(u) and its derivative have buffers
+    of their own, so a step's three rates make no Python call below this one
+    on the dense path.  Non-finite values are left to the time stepper's
+    check."""
+    third = disc.d3_op.scaled(-problem.epsilon).apply
     if problem.kappa == 0.0:
         # no flux: D1 is not applied, so its dense matrix is never built
-        def rate(v, out):
-            multiply(third(v, out), neg_eps, out)
-            return out
+        return third
 
-        return rate
-
-    first, subtract = disc.d1_op.apply, np.subtract
+    first, multiply, subtract = disc.d1_op.apply, np.multiply, np.subtract
     kappa = np.array(problem.kappa, float)
     flux, d_flux = np.empty((2, disc.d1_op.size))
 
     def rate(v, out):
-        multiply(third(v, out), neg_eps, out)
+        third(v, out)
         multiply(v, kappa, flux)
         multiply(flux, v, flux)
         subtract(out, first(flux, d_flux), out)

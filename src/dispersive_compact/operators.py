@@ -9,6 +9,7 @@ update is the same stencil applied one fine point over.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,7 @@ class CompactOperator:
         )
         self._half_symbol = self.symbol[: self.size // 2 + 1]
         self._dense: np.ndarray | None = None
+        self._scaled: dict[float, CompactOperator] = {}
 
     def _rhs(self, values: np.ndarray) -> np.ndarray:
         # row i reads values[i + shift]: slices of one periodically padded copy
@@ -139,6 +141,19 @@ class CompactOperator:
         if self.size <= DENSE_LIMIT:
             return self.dense_matrix().dot
         return self.apply_fft if _fft_is_fast(self.size) else self.apply_array
+
+    def scaled(self, factor: float) -> CompactOperator:
+        """This operator times ``factor``, built once per factor: it shares
+        the taps and the solver, and carries factor * h^-d, factor * symbol
+        and a dense matrix of its own, built on first use.  Every path of a
+        power-of-two factor gives ``factor`` times the unscaled apply."""
+        if factor not in self._scaled:
+            op = self._scaled[factor] = copy.copy(self)
+            op.__dict__.pop("apply", None)  # bound to the parent's data
+            op._scale, op.symbol = factor * self._scale, factor * self.symbol
+            op._half_symbol = op.symbol[: self.size // 2 + 1]
+            op._dense, op._scaled = None, {}
+        return self._scaled[factor]
 
     def dense_matrix(self) -> np.ndarray:
         """The full circulant A^{-1} B action, cached: ``apply_array`` of

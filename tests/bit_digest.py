@@ -1,0 +1,56 @@
+"""SHA-256 of the final state of each benchmark KdV cell, one ``name sha256``
+line per cell.
+
+    python3 tests/bit_digest.py [--save DIR]
+
+Builds the 11 cells of the ``kdv-linear``, ``kdv-nonlinear`` and ``kdv-wide``
+workloads from ``perfbench/workloads.py`` (read only), runs each with the
+library of this checkout's ``src`` and hashes the ``tobytes()`` of its final
+state (the fine array of a dual run).  A change meant to keep every bit runs
+it on the parent and on the change and diffs the output; ``--save DIR``
+also writes each state to ``DIR/<name>.npy``, to measure a cell that moved.
+It is a script, not a test: the hashes depend on the BLAS and the CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+KDV_WORKLOADS = ("kdv-linear", "kdv-nonlinear", "kdv-wide")
+
+
+def final_states():
+    """(name, final state array) of each cell, in workload order."""
+    for workload in KDV_WORKLOADS:
+        # the seed only orders cases; these workloads draw no input
+        for case in workloads.WORKLOADS[workload](random.Random(0), False):
+            state = case.solve(case.build()).state
+            yield case.name, (state.fine() if hasattr(state, "fine")
+                              else state.values)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, help="folder for <name>.npy files")
+    args = parser.parse_args(argv)
+    for name, values in final_states():
+        print(name, hashlib.sha256(values.tobytes()).hexdigest(), flush=True)
+        if args.save is not None:
+            args.save.mkdir(parents=True, exist_ok=True)
+            np.save(args.save / f"{name}.npy", values)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

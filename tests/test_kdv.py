@@ -10,7 +10,12 @@ import pytest
 
 from dispersive_compact import exact, kdv, spectral
 from dispersive_compact.kdv import DualGridFunction
-from dispersive_compact.operators import DENSE_LIMIT, FilterOperator, filter_by_name
+from dispersive_compact.operators import (
+    DENSE_LIMIT,
+    CompactOperator,
+    FilterOperator,
+    filter_by_name,
+)
 from dispersive_compact.timeint import DivergenceError, TvdRk3, rk3_amplification
 
 
@@ -474,10 +479,12 @@ def _oracle_run(problem, disc, config):
                 size, largest_prime = size // p, p
         return op.apply_fft if largest_prime <= 13 else op.apply_array
 
-    third, first = by_rule(disc.d3_op), by_rule(disc.d1_op)
+    # -eps D3 as the run folds it, once, into the operator
+    third = by_rule(disc.d3_op.scaled(-problem.epsilon))
+    first = by_rule(disc.d1_op)
 
     def rate(v):
-        r = -problem.epsilon * third(v)
+        r = third(v)
         if problem.kappa != 0.0:
             r = r - first(problem.kappa * v * v)
         return r
@@ -592,8 +599,9 @@ def test_a_run_without_a_flux_never_builds_the_first_derivative():
     p = kdv.make_problem("linear", c=8.0)
     d = kdv.Discretization("TDCNCS", 20, p.length)
     kdv.integrate(p, d, kdv.RunConfig(t_final=0.001))
-    assert d.d3_op._dense is not None
-    assert d.d1_op._dense is None
+    # only -eps D3 is built: neither D1 nor the unscaled D3
+    assert d.d3_op.scaled(-p.epsilon)._dense is not None
+    assert d.d3_op._dense is None and d.d1_op._dense is None
 
 
 @pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
@@ -622,6 +630,63 @@ def test_no_python_scalar_reaches_a_ufunc_in_a_step(family, preset, params,
     stepper.advance(kdv.bind_rate(p, d), 0.01 * d.h ** 3, 3)
     assert {name for name, _ in seen} >= {"multiply", "add"}
     assert [(name, t) for name, t in seen if not issubclass(t, np.ndarray)] == []
+
+
+@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
+@pytest.mark.parametrize("preset, params, per_step", [
+    ("linear", {"c": 8.0}, {"multiply": 3, "add": 5}),
+    ("soliton", {}, {"multiply": 9, "add": 5, "subtract": 3}),
+], ids=["linear", "soliton"])
+def test_a_step_makes_the_counted_ufunc_calls(family, preset, params,
+                                              per_step, monkeypatch):
+    # the stages make 3 multiplies and 5 adds; a rate without a flux makes
+    # none (-eps is in D3), one with a flux 2 multiplies and 1 subtract
+    p = kdv.make_problem(preset, **params)
+    d = kdv.Discretization(family, 20, p.length, p.x_lo)
+    d.d3_op.scaled(-p.epsilon).dense_matrix()
+    d.d1_op.dense_matrix()
+    stepper = TvdRk3((d.d3_op.size,))
+    stepper.u[...] = d.initial_state(p)
+    calls = []
+
+    def spy(ufunc):
+        def call(*args, **kwargs):
+            calls.append((ufunc.__name__, [type(a) for a in args]))
+            return ufunc(*args, **kwargs)
+        return call
+
+    # installed before bind_rate and advance look the ufuncs up
+    for name in ("multiply", "add", "subtract"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    rate = kdv.bind_rate(p, d)
+    if p.kappa == 0.0:  # the scaled matrix's own dot, no Python closure
+        assert rate.__name__ == "dot"
+        assert rate.__self__ is d.d3_op.scaled(-p.epsilon).dense_matrix()
+    stepper.advance(rate, 0.01 * d.h ** 3, 3)
+    names = [name for name, _ in calls]
+    assert {name: names.count(name) for name in names} == {
+        name: 3 * count for name, count in per_step.items()}
+    assert all(issubclass(t, np.ndarray) for _, types in calls for t in types)
+
+
+@pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
+def test_a_serial_study_builds_one_dense_matrix_per_n(family, monkeypatch):
+    # the zero-length run that checks the grid builds -eps D3; the run
+    # steps the same matrix
+    built = []
+    dense_matrix = CompactOperator.dense_matrix
+
+    def counting(op):
+        if op._dense is None:
+            built.append(op.size)
+        return dense_matrix(op)
+
+    monkeypatch.setattr(CompactOperator, "dense_matrix", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    kdv.convergence_study("linear", family, [10, 20],
+                          kdv.RunConfig(t_final=0.01), params={"c": 1.0})
+    size = 2 if family == "TDCCS" else 1
+    assert built == [10 * size, 20 * size]
 
 
 def test_divergence_reports_its_step():

@@ -348,6 +348,42 @@ def test_apply_picks_its_path_once_and_writes_into_out(size):
     assert apply(v).tobytes() == want.tobytes()
 
 
+# dense (sizes 20 and 40), FFT (400, 512) and banded (389, 386) paths
+SCALED_CASES = [("TDCNCS-T8", 20), ("TDCCS-T8", 20), ("TDCNCS-T8", 400),
+                ("TDCCS-T8", 256), ("TDCNCS-T8", 389), ("TDCCS-T8", 193)]
+
+
+@pytest.mark.parametrize("scheme_id, n", SCALED_CASES)
+@pytest.mark.parametrize("factor", [-1.0, -1 / 64, 4.0])
+def test_a_power_of_two_scaled_operator_is_exact_on_every_path(scheme_id, n,
+                                                               factor):
+    op = build_operator(scheme_id, n, 2 * np.pi / n)
+    scaled = op.scaled(factor)
+    assert op.scaled(factor) is scaled  # built once per factor
+    assert scaled.solver is op.solver
+    assert np.array_equal(scaled.symbol, factor * op.symbol)
+    v = np.random.default_rng(n).normal(size=op.size)
+    assert scaled.apply.__name__ == op.apply.__name__  # the same path
+    assert np.array_equal(scaled.apply(v), factor * op.apply(v))
+    if op.size <= DENSE_LIMIT:
+        assert scaled.dense_matrix() is not op.dense_matrix()
+        assert np.array_equal(scaled.dense_matrix(), factor * op.dense_matrix())
+    else:
+        assert op._dense is None and scaled._dense is None
+
+
+@pytest.mark.parametrize("scheme_id, n", SCALED_CASES)
+def test_a_scaled_operator_rounds_within_a_few_ulp(scheme_id, n):
+    # -1e-4 is no power of two: the product is formed in the operator's
+    # entries (or symbol), not after the apply.  Measured over 20 draws per
+    # case: at most 6.7e-16 of max|factor * apply|, 3 ulp.
+    op = build_operator(scheme_id, n, 2 * np.pi / n)
+    v = np.random.default_rng(n).normal(size=op.size)
+    want = -1e-4 * op.apply(v)
+    got = op.scaled(-1e-4).apply(v)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 # sizes 385 and 400 take the FFT, whose rfft of one point more or fewer can
 # have the same length; 389 takes the banded solve
 @pytest.mark.parametrize("scheme_id, n", [
