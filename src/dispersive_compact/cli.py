@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import json
 import os
-import stat
 import sys
 
 import numpy as np
@@ -188,34 +186,22 @@ def effective_config(parser: _Parser, argv) -> tuple[argparse.Namespace, dict]:
     return args, {k: v for k, v in vars(args).items() if k not in _META}
 
 
-def _check_output_dirs(cfg):
-    """Refuse an output path that cannot be opened for writing (a directory,
-    in a folder that is missing, not a directory or unwritable, or a name
-    or path too long) before any computation."""
+def _claim_outputs(cfg, created):
+    """Open each output path for writing, without truncating it, before any
+    computation, so the OS refuses what cannot be written.  Each file made
+    here is appended to ``created``."""
     for key in ("out", "snapshot", "json"):
         path = cfg.get(key)
         if not path:
             continue
-        folder = os.path.dirname(path)
-        if folder:
-            try:
-                is_dir = stat.S_ISDIR(os.stat(folder).st_mode)
-            except FileNotFoundError:
-                raise UsageError(f"--{key} {path}: directory {folder} "
-                                 f"does not exist") from None
-            except OSError as err:  # a path too long, a file on the way
-                raise UsageError(f"--{key} {path}: {err.strerror}") from None
-            if not is_dir:
-                raise UsageError(f"--{key} {path}: {folder} is not a directory")
-        if os.path.isdir(path):
-            raise UsageError(f"--{key} {path}: is a directory")
-        folder = folder or "."
-        name = os.fsencode(os.path.basename(path))
-        if len(name) > os.pathconf(folder, "PC_NAME_MAX"):
-            raise UsageError(f"--{key} {path}: {os.strerror(errno.ENAMETOOLONG)}")
-        # an existing file is opened in place; a new one is made in its folder
-        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-            raise UsageError(f"--{key} {path}: {os.strerror(errno.EACCES)}")
+        new = not os.path.exists(path)
+        try:
+            # 0o666, as open() uses: os.open's default would add execute bits
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        except OSError as err:
+            raise UsageError(f"--{key} {path}: {err.strerror}") from None
+        if new:  # through a dangling link, the file made is the link's target
+            created.append(os.path.realpath(path))
 
 
 def _output(path):
@@ -227,7 +213,7 @@ def _output(path):
 
 def _write_rows(path, header, rows):
     """CSV to ``path``, or stdout without one.  ``rows`` is a list built before
-    the file opens, so a refused input leaves no file behind."""
+    the file opens, so a refused input leaves an existing file its bytes."""
     with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -400,6 +386,8 @@ def _cmd_converge(cfg) -> int:
 
 def dispatch(argv=None) -> int:
     parser = build_parser()
+    created = []  # output files this command made: removed unless it exits 0
+    code = None
     try:
         args, cfg = effective_config(parser, argv)
         if args.command is None:
@@ -408,16 +396,22 @@ def dispatch(argv=None) -> int:
         if args.dump_config:
             _write_json(args.dump_config, dict(sorted(cfg.items())))
             return EXIT_OK
-        _check_output_dirs(cfg)
-        return args.handler(cfg)
+        _claim_outputs(cfg, created)
+        code = args.handler(cfg)
+        return code
     except (DivergenceError, SingularOperatorError, exact.DerivationError) as err:
         # before ValueError: SingularOperatorError and DerivationError are ones
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UsageError, ValueError, KeyError, OSError) as err:
-        # OSError: an output path that cannot be written
+        # OSError: a write that fails after the run, or --dump-config's
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if code != EXIT_OK:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
 
 
 def main() -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, configs, artifact formats."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -413,6 +414,10 @@ def test_run_summary(tmp_path):
     doc = json.loads(out.read_text())
     assert abs(doc["Linf"] / 1.6089e-9 - 1.0) < 0.1
     assert snap.read_text().splitlines()[0] == "x,u_numeric,u_exact,abs_error"
+    # the permission bits that open() gives a new file
+    (tmp_path / "ref").write_text("")
+    mode = (tmp_path / "ref").stat().st_mode
+    assert out.stat().st_mode == snap.stat().st_mode == mode
 
 
 def test_run_unknown_preset(capsys):
@@ -420,12 +425,34 @@ def test_run_unknown_preset(capsys):
     assert "valid" in capsys.readouterr().err
 
 
-def test_run_divergence_is_numerical_failure(tmp_path, capsys):
-    code = run_cli("run", "--example", "soliton", "--scheme", "tdcncs",
-                   "--N", "40", "--dt-rule", "fixed", "--dt", "0.5",
-                   "--t-final", "5", "--out", str(tmp_path / "x.json"))
-    assert code == EXIT_NUMERICAL
-    assert "diverged at t=1.5 (step 4)" in capsys.readouterr().err
+def test_run_divergence_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.json"
+    argv = ("run", "--example", "soliton", "--scheme", "tdcncs", "--N", "40",
+            "--dt-rule", "fixed", "--dt", "0.5", "--t-final", "5",
+            "--out", str(out))
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    # a file made for the run is removed; an existing one keeps its bytes
+    for old in (None, "keep"):
+        if old is not None:
+            out.write_text(old)
+        assert run_cli(*argv) == EXIT_NUMERICAL
+        assert "diverged at t=1.5 (step 4)" in capsys.readouterr().err
+        assert (out.read_text() if out.exists() else None) == old
+    # and so on an interrupt, which dispatch lets through
+    out.unlink()
+    monkeypatch.setattr(kdv, "integrate", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv)
+    assert not out.exists()
+    # through a dangling link, the file made is the link's target
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv[:-1], str(link))
+    assert link.is_symlink() and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -443,6 +470,8 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "missing" in err
+    # a first output, claimed before the second was refused, is removed
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -477,36 +506,44 @@ def test_bad_run_config_is_usage_error(flags, capsys):
     ("coeffs", "--out", "afile/x.json"),
     # a path longer than PATH_MAX
     ("run", "--out", "./" * 2100 + "x.json"),
+    # a symbolic link into a missing folder
+    ("converge", "--example", "soliton", "--Ns", "40,800", "--out", "dangling"),
+    # a symbolic link to itself
+    ("run", "--snapshot", "loop"),
 ])
 def test_output_in_missing_directory_is_refused_before_any_run(
         argv, tmp_path, monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("integrate called")
 
-    # root ignores mode bits, so "made" is made unwritable through os.access
-    real_access = os.access
+    # root ignores mode bits, so "made/r.json" is refused through os.open
+    real_open = os.open
 
-    def access(path, mode, **kwargs):
-        if path == "made" and mode & os.W_OK:
-            return False
-        return real_access(path, mode, **kwargs)
+    def refusing_open(path, flags, *args, **kwargs):
+        if path == "made/r.json":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(kdv, "integrate", no_run)
-    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr(os, "open", refusing_open)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)  # a study in this process
     monkeypatch.chdir(tmp_path)
     (tmp_path / "made").mkdir()
     (tmp_path / "afile").write_text("")
+    (tmp_path / "dangling").symlink_to("missing/x.csv")
+    (tmp_path / "loop").symlink_to("loop")
     assert run_cli(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{argv[-2]} {argv[-1]}:" in err
-    message = {"made": "is a directory", "x" * 300: "File name too long",
+    message = {"made": "Is a directory", "x" * 300: "File name too long",
                "made/r.json": "Permission denied",
-               "afile/x.json": "afile is not a directory",
-               "./" * 2100 + "x.json": "File name too long"}
-    assert message.get(argv[-1], "does not exist") in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "made"]
+               "afile/x.json": "Not a directory",
+               "./" * 2100 + "x.json": "File name too long",
+               "loop": "Too many levels of symbolic links"}
+    assert message.get(argv[-1], "No such file or directory") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "afile", "dangling", "loop", "made"]
     assert not any((tmp_path / "made").iterdir())
     assert (tmp_path / "afile").read_text() == ""
 

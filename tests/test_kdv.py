@@ -612,7 +612,7 @@ def test_no_python_scalar_reaches_a_ufunc_in_a_step(family, preset, params,
                                                     monkeypatch):
     p = kdv.make_problem(preset, **params)
     d = kdv.Discretization(family, 20, p.length, p.x_lo)
-    d.d3_op.dense_matrix()
+    d.d3_op.scaled(-p.epsilon).dense_matrix()
     d.d1_op.dense_matrix()
     stepper = TvdRk3((d.d3_op.size,))
     stepper.u[...] = d.initial_state(p)
