@@ -10,12 +10,16 @@ compiled ``_flapack`` extension by itself: the ``scipy.linalg`` package is
 never imported.  A tridiagonal band of at most DENSE_LIMIT points is
 factored in Python by ``dgttrf``'s recurrence and swept for a matrix
 right-hand side as numpy rows (a few columns, such as the corner columns, in
-Python floats), so the dense-path KdV runs (paper sizes) never load scipy.
-LAPACK factors the larger and the pentadiagonal bands, at construction, and
-solves every vector right-hand side.  ``solve`` gives each column of a matrix
-right-hand side the bits of its own vector solve, so a dense operator built
-from the identity rounds as its banded apply does.  The spectral analysis
-(``check_invertible`` and everything in ``spectral``) needs numpy alone.
+Python floats), so the dense-path KdV runs (paper sizes) never load scipy;
+its vector solves go to ``dgttrs``.  These solves, and every pentadiagonal
+one (``dgbtrf``/``dgbtrs``), have the bits of ``scipy.linalg.solve_banded``.
+A larger tridiagonal band, positive definite since |alpha| < 1/2, is
+factored as LDL^T by ``dpttrf`` and solved by ``dpttrs``, twice as fast as
+``dgttrs`` and within a few ulps of it.  LAPACK factors at construction.
+``solve`` gives each column of a matrix right-hand side the bits of its own
+vector solve, so a dense operator built from the identity rounds as its
+banded apply does.  The spectral analysis (``check_invertible`` and
+everything in ``spectral``) needs numpy alone.
 """
 
 from __future__ import annotations
@@ -131,13 +135,16 @@ def check_invertible(alpha: float, beta: float) -> None:
 class CyclicBandedSolver:
     """Factorization of a cyclic (beta, alpha, 1, alpha, beta) band.
 
-    Factors the truncated band once (``dgttrf``'s factor when tridiagonal,
+    Factors the truncated band once (``dgttrf``'s factor when tridiagonal
+    of at most DENSE_LIMIT points, ``dpttrf``'s LDL^T when larger,
     ``dgbtrf``'s when pentadiagonal) and precomputes the corner-correction
-    data; ``solve`` is then one pair of triangular sweeps (``dgttrs`` /
-    ``dgbtrs``, or their numpy form for a small band's matrix right-hand
-    side) plus a rank-2 (tridiagonal) or rank-4 (pentadiagonal) correction.
-    The sweeps are the ones ``scipy.linalg.solve_banded`` runs, so the results
-    are the same bits.  Immutable after construction and safe to share;
+    data; ``solve`` is then one pair of triangular sweeps (``dgttrs``,
+    ``dpttrs`` or ``dgbtrs``, or ``dgttrs``'s numpy form for a small band's
+    matrix right-hand side) plus a rank-2 (tridiagonal) or rank-4
+    (pentadiagonal) correction.  Up to DENSE_LIMIT and for pentadiagonal
+    bands the sweeps are the ones ``scipy.linalg.solve_banded`` runs, so the
+    results are the same bits; a larger tridiagonal solve rounds apart from
+    them by a few ulps.  Immutable after construction and safe to share;
     ``solve`` never writes to its argument.
     """
 
@@ -168,14 +175,18 @@ class CyclicBandedSolver:
             self._factor = _gttrf(n, self.alpha)
         else:
             if p == 1:
-                *factor, info = _lapack().dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+                # |alpha| < 1/2 makes the band positive definite: its LDL^T
+                # solve takes half dgttrs's time (n = 385 to 8193)
+                *factor, info = _lapack().dpttrf(ab[1], ab[0, 1:])
+                failure = "not positive definite"
             else:
                 # dgbtrf keeps p extra superdiagonal rows for the interchanges
                 *factor, info = _lapack().dgbtrf(
                     np.vstack((np.zeros((p, n)), ab)), p, p)
+                failure = "singular"
             if info != 0:
                 raise SingularOperatorError(
-                    f"truncated band is singular (info={info}) for alpha={alpha}, beta={beta}"
+                    f"truncated band is {failure} (info={info}) for alpha={alpha}, beta={beta}"
                 )
             self._factor = tuple(factor)
 
@@ -215,7 +226,9 @@ class CyclicBandedSolver:
         if self.bandwidth == 2:
             lu, ipiv = self._factor
             return _lapack().dgbtrs(lu, 2, 2, rhs, ipiv)[0]
-        if rhs.ndim == 2 and self._numpy_sweeps:
+        if not self._numpy_sweeps:
+            return _lapack().dpttrs(*self._factor, rhs)[0]
+        if rhs.ndim == 2:
             return _gtts2(*self._factor, rhs)
         return _lapack().dgttrs(*self._factor, rhs)[0]
 

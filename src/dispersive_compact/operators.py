@@ -34,17 +34,20 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 #
 # Above the limit the FFT's cost depends on how the size factors, while the
 # factored banded solve (``apply_array``) is O(N) at any size.  One apply,
-# banded vs FFT, same VM (us; TDCCS-T8 at the sizes 2N = 386, 4098 and 8194,
-# TDCNCS-T8 at the others):
+# banded vs FFT, same VM, both rows in one run (us; TDCCS-T8 at the sizes
+# 2N = 386, 4098 and 8194, TDCNCS-T8 at the others):
 #
 #   size     386   1021   2049   4097   4098   8194 |  385   2048   4096   8192
-#   banded    35     40     74    155    114    248 |   26     72    150    371
-#   FFT       62    149    307    249    662    516 |   18     34     74    162
+#   banded    31     30     46     74     87    141 |   21     45     74    131
+#   FFT       50    131    310    240    628    467 |   16     32     63    130
 #
-# The FFT also won at the 13-smooth sizes 400, 1001, 4225 and 4400.  So
-# ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and the
-# banded solve at the others.  Each operator picks its path once, on its
-# first ``apply``.
+# So ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and
+# the banded solve at the others: the faster path at every size above but
+# 8192, where the two tie (the banded solve won two other runs there by 1-3
+# us).  Of the 13-smooth sizes 400, 1001, 4225 and 4400 the FFT wins the
+# first two (14 vs 20, 24 vs 28 us); at the last two the paths are within
+# the spread of three runs (65-81 vs 76-83, 69-77 vs 71-73 us).  Each
+# operator picks its path once, on its first ``apply``.
 
 
 def _fft_is_fast(size: int) -> bool:

@@ -9,7 +9,8 @@ library of this checkout's ``src`` and hashes the ``tobytes()`` of its final
 state (the fine array of a dual run).  A change meant to keep every bit runs
 it on the parent and on the change and diffs the output; ``--save DIR``
 also writes each state to ``DIR/<name>.npy``, to measure a cell that moved.
-It is a script, not a test: the hashes depend on the BLAS and the CPU.
+It is a script, not a test: the hashes depend on the BLAS and the CPU
+(``test_kdv`` runs it and checks only the lines' form and names).
 """
 
 from __future__ import annotations

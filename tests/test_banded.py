@@ -147,6 +147,18 @@ def test_solve_then_multiply_recovers_rhs(n, alpha, seed):
     assert np.max(np.abs(back - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
+def _band_oracle(ab, n):
+    """The truncated band solve whose bits the solver keeps: scipy's
+    ``solve_banded``, except for a tridiagonal band above DENSE_LIMIT, which
+    is solved by LAPACK's positive-definite LDL^T (``dpttrf``/``dpttrs``)."""
+    p = len(ab) // 2
+    if p == 2 or n <= DENSE_LIMIT:
+        return lambda b: solve_banded((p, p), ab, b)
+    d, e, info = lapack.dpttrf(ab[1], ab[0, 1:])
+    assert info == 0
+    return lambda b: lapack.dpttrs(d, e, b)[0]
+
+
 def _flushed(g, n):
     """The corner columns as the solver keeps them: above DENSE_LIMIT, with
     their subnormal entries set to zero."""
@@ -161,22 +173,24 @@ def _flushed(g, n):
 ])
 def test_factored_solve_is_bit_identical_to_solve_banded(alpha, beta):
     # the dense operator bits the acceptance tables rest on were built by
-    # scipy's solve_banded; the stored LAPACK factor must reproduce them
+    # scipy's solve_banded; the stored LAPACK factor must reproduce them.
+    # A tridiagonal band above DENSE_LIMIT has dpttrs's bits instead
     p = 2 if beta else 1
     rng = np.random.default_rng(17)
     for n in (2 * p + 1, 8, 20, 240, 2049, 4097):
         solver = CyclicBandedSolver(n, alpha, beta)
         ab = solver._ab.copy()
+        band_solve = _band_oracle(ab, n)
 
         def oracle(b):
             if b.ndim == 2:  # each column as its own vector solve
                 return np.column_stack([oracle(col) for col in b.T])
-            y = solve_banded((p, p), ab, b)
+            y = band_solve(b)
             return y - solver._g @ (solver._cap_inv @ (solver._vt @ y))
 
         rows = [*range(p), *range(n - p, n)]  # the corner rows of the _g build
         assert np.array_equal(solver._g, _flushed(
-            solve_banded((p, p), ab, np.eye(n)[:, rows]), n))
+            band_solve(np.eye(n)[:, rows]), n))
         cases = [rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
                  for _ in range(20)]
         cases += [np.eye(n)[:, j] for j in {0, 1, n // 2, n - 1}]
@@ -196,14 +210,42 @@ def test_flushing_subnormal_corner_columns_keeps_the_solve_bits(alpha, beta):
     for n in (2049, 4097):
         solver = CyclicBandedSolver(n, alpha, beta)
         p = solver.bandwidth
+        band_solve = _band_oracle(solver._ab, n)
         rows = [*range(p), *range(n - p, n)]
-        g = solve_banded((p, p), solver._ab, np.eye(n)[:, rows])
+        g = band_solve(np.eye(n)[:, rows])
         assert np.count_nonzero(g) > np.count_nonzero(solver._g)
         for _ in range(10):
             b = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
-            y = solve_banded((p, p), solver._ab, b)
+            y = band_solve(b)
             assert np.array_equal(solver.solve(b),
                                   y - g @ (solver._cap_inv @ (solver._vt @ y)))
+
+
+# the four catalogued tridiagonal bands (TDCNCS-T8, TDCCS-T8, CNCS-T8,
+# CCS-T8) and the filter strengths nearest 1/2
+LARGE_BANDS = [205 / 472, -1261 / 3530, 3 / 8, -3 / 20, 0.49, -0.49]
+
+
+@pytest.mark.parametrize("alpha", LARGE_BANDS)
+def test_large_tridiagonal_solve_agrees_with_solve_banded(alpha):
+    # above DENSE_LIMIT the LDL^T solve rounds apart from solve_banded's LU.
+    # Worst measured over these cases: 4.5e-16 of max|x| apart (3.5e-16 on
+    # the catalogued bands) and a residual of 2.3e-16 of (1 + 2|alpha|)
+    # max|x|; the bounds leave a margin of ~4x
+    rng = np.random.default_rng(31)
+    for n in (DENSE_LIMIT + 1, 2049, 4097):
+        solver = CyclicBandedSolver(n, alpha)
+        g = solve_banded((1, 1), solver._ab, np.eye(n)[:, [0, n - 1]])
+        for _ in range(20):
+            b = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 4)
+            x = solver.solve(b)
+            y = solve_banded((1, 1), solver._ab, b)
+            want = y - g @ (solver._cap_inv @ (solver._vt @ y))
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(x - want)) <= 2e-15 * scale, n
+            residual = x + alpha * (np.roll(x, 1) + np.roll(x, -1)) - b
+            assert np.max(np.abs(residual)) <= (
+                1e-15 * (1 + 2 * abs(alpha)) * np.max(np.abs(x))), n
 
 
 def test_dense_path_solvers_keep_their_subnormal_corner_columns():

@@ -259,20 +259,24 @@ kdv.integrate(problem, disc, config)
 assert "scipy.linalg" not in sys.modules, "loaded by a dense-path run"
 assert banded._lapack.cache_info().currsize == 0, "LAPACK loaded too early"
 # a band above the dense limit, tri- and pentadiagonal, loads LAPACK's
-# extension by itself; scipy.linalg imported afterwards gives the same bits
+# extension by itself; scipy.linalg imported afterwards gives the same bits:
+# dpttrs's for the tridiagonal band, solve_banded's for the pentadiagonal
 import numpy as np
 tri = kdv.Discretization("TDCNCS", 389, 1.0).d3_op.solver
 assert banded._lapack.cache_info().currsize == 1, "not loaded by a band"
 penta = operators.CompactOperator("TDCCS-P10", 400, 1.0).solver
 assert (tri.bandwidth, penta.bandwidth) == (1, 2)
 assert "scipy.linalg" not in sys.modules, "loaded by a banded-path solver"
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
+d, e, info = lapack.dpttrf(tri._ab[1], tri._ab[0, 1:])
+assert info == 0
+band_solves = ((tri, lambda b: lapack.dpttrs(d, e, b)[0]),
+               (penta, lambda b: solve_banded((2, 2), penta._ab, b)))
 rng = np.random.default_rng(20)
-for solver in (tri, penta):
-    p, n = solver.bandwidth, solver.n
-    rhs = rng.standard_normal(n)
-    oracle = solver._correct(solve_banded((p, p), solver._ab, rhs))
-    assert solver.solve(rhs).tobytes() == oracle.tobytes(), p
+for solver, band_solve in band_solves:
+    rhs = rng.standard_normal(solver.n)
+    oracle = solver._correct(band_solve(rhs))
+    assert solver.solve(rhs).tobytes() == oracle.tobytes(), solver.bandwidth
 """
     src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -3,6 +3,10 @@
 import dataclasses
 import math
 import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -175,8 +179,11 @@ def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
     assert d.d3_op._dense is None and d.d1_op._dense is None
 
 
-# circulant sizes 389 (prime) and 386 = 2 * 193 have a prime factor above 13
-@pytest.mark.parametrize("family, n", [("TDCNCS", 389), ("TDCCS", 193)])
+# circulant sizes 389 (prime), 386 = 2 * 193 and 778 = 2 * 389 have a prime
+# factor above 13; the dual N = 389 is the one whose parity solver (n = 389)
+# is above DENSE_LIMIT and factored by LAPACK
+@pytest.mark.parametrize("family, n", [("TDCNCS", 389), ("TDCCS", 193),
+                                       ("TDCCS", 389)])
 def test_large_grids_apply_by_banded_solve_without_a_dense_build(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
@@ -763,3 +770,32 @@ def test_integrate_leaves_the_initial_array_unmodified(family, flt):
         dt_rule="half_h2", t_final=0.01, filter=flt))
     assert r.n_steps > 1
     assert np.array_equal(u0, d.initial_state(base))
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the case names of the benchmark's KdV workloads, read from perfbench by a
+# process that writes no bytecode there
+CASE_NAMES_SCRIPT = f"""
+import random, sys
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
+import workloads
+for workload in ("kdv-linear", "kdv-nonlinear", "kdv-wide"):
+    for case in workloads.WORKLOADS[workload](random.Random(0), False):
+        print(case.name)
+"""
+
+
+def test_bit_digest_hashes_every_benchmark_kdv_cell():
+    # a change meant to keep every bit diffs this script's output on the
+    # parent and on the change; the hashes depend on the BLAS and the CPU,
+    # so only the lines' form and names are checked here
+    names = subprocess.run([sys.executable, "-B", "-c", CASE_NAMES_SCRIPT],
+                           capture_output=True, text=True, timeout=60)
+    assert names.returncode == 0, names.stderr
+    digest = subprocess.run([sys.executable, str(ROOT / "tests/bit_digest.py")],
+                            capture_output=True, text=True, timeout=60)
+    assert digest.returncode == 0, digest.stderr
+    lines = digest.stdout.splitlines()
+    assert len(lines) == 11
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert [line.split()[0] for line in lines] == names.stdout.split()
