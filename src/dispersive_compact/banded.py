@@ -221,20 +221,38 @@ class CyclicBandedSolver:
         side, in numpy."""
         return self.bandwidth == 1 and self.n <= DENSE_LIMIT
 
-    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the truncated band by the stored factor; rhs is copied."""
+    def _band_solve(self, rhs: np.ndarray, overwrite=False) -> np.ndarray:
+        """Solve the truncated band by the stored factor; rhs is copied
+        unless ``overwrite`` lets LAPACK solve a contiguous vector in it."""
         if self.bandwidth == 2:
             lu, ipiv = self._factor
-            return _lapack().dgbtrs(lu, 2, 2, rhs, ipiv)[0]
+            return _lapack().dgbtrs(lu, 2, 2, rhs, ipiv,
+                                    overwrite_b=overwrite)[0]
         if not self._numpy_sweeps:
-            return _lapack().dpttrs(*self._factor, rhs)[0]
+            return _lapack().dpttrs(*self._factor, rhs,
+                                    overwrite_b=overwrite)[0]
         if rhs.ndim == 2:
             return _gtts2(*self._factor, rhs)
-        return _lapack().dgttrs(*self._factor, rhs)[0]
+        return _lapack().dgttrs(*self._factor, rhs, overwrite_b=overwrite)[0]
 
-    def _correct(self, y: np.ndarray) -> np.ndarray:
-        """The corner correction of a band solve ``y``."""
-        return y - self._g @ (self._cap_inv @ (self._vt @ y))
+    def _correct(self, y: np.ndarray, out=None) -> np.ndarray:
+        """The corner correction of a band solve ``y``, written into ``out``
+        when given.  A block is corrected column by column by ``-``: one
+        ``np.subtract(y, c, None)`` a column made a dense build at n = 150
+        ~7 % slower."""
+        correction = self._g @ (self._cap_inv @ (self._vt @ y))
+        if out is None:
+            return y - correction
+        return np.subtract(y, correction, out)
+
+    def _solve_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``solve(b)``, bit for bit, written into ``out`` (which may be
+        ``b``).  A vector's band solve overwrites ``b`` in place when it is
+        contiguous (LAPACK solves a copy of a strided one)."""
+        if b.ndim == 2 or self.bandwidth == 0:
+            out[...] = self.solve(b)
+            return out
+        return self._correct(self._band_solve(b, overwrite=True), out)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (n,) or (n, k), and each column of a

@@ -33,21 +33,21 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 # rounding.
 #
 # Above the limit the FFT's cost depends on how the size factors, while the
-# factored banded solve (``apply_array``) is O(N) at any size.  One apply,
-# banded vs FFT, same VM, both rows in one run (us; TDCCS-T8 at the sizes
-# 2N = 386, 4098 and 8194, TDCNCS-T8 at the others):
+# factored banded solve (``apply_array``) is O(N) at any size.  One apply
+# into ``out``, banded vs FFT, same VM, both rows in one run (us; TDCCS-T8
+# at the sizes 2N = 386, 4098 and 8194, TDCNCS-T8 at the others):
 #
 #   size     386   1021   2049   4097   4098   8194 |  385   2048   4096   8192
-#   banded    31     30     46     74     87    141 |   21     45     74    131
-#   FFT       50    131    310    240    628    467 |   16     32     63    130
+#   banded    45     25     40     64     77    137 |   20     40     68    109
+#   FFT       49    135    301    256    664    524 |   17     33     64    132
 #
 # So ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and
-# the banded solve at the others: the faster path at every size above but
-# 8192, where the two tie (the banded solve won two other runs there by 1-3
-# us).  Of the 13-smooth sizes 400, 1001, 4225 and 4400 the FFT wins the
-# first two (14 vs 20, 24 vs 28 us); at the last two the paths are within
-# the spread of three runs (65-81 vs 76-83, 69-77 vs 71-73 us).  Each
-# operator picks its path once, on its first ``apply``.
+# the banded solve at the others.  Of the 13-smooth sizes the FFT wins 385,
+# 400, 2048 and 4096 (by 3-7 us; 400: 15 vs 20) and ties 1001 (26 vs 28),
+# but the banded solve, with its taps paired and pre-scaled, wins 4225,
+# 4400 and 8192 (69 vs 93, 68 vs 79, 109 vs 132 us; in each of three runs).
+# The rule is kept: moving it would change the bits of runs at those sizes.
+# Each operator picks its path once, on its first ``apply``.
 
 
 def _fft_is_fast(size: int) -> bool:
@@ -56,6 +56,20 @@ def _fft_is_fast(size: int) -> bool:
         while size % p == 0:
             size //= p
     return size == 1
+
+
+def _paired_taps(grid_taps, scale: float) -> list:
+    """B's taps as (shift, weight * scale, pair) terms: a shift k > 0 is
+    paired with the -k tap by ``np.subtract`` when its weight is opposite,
+    by ``np.add`` when it is equal; any other tap stands alone (pair None)."""
+    weights = dict(grid_taps)
+    terms = []
+    for shift, w in grid_taps:
+        partner = weights.get(-shift) if shift else None
+        pair = {-w: np.subtract, w: np.add}.get(partner)
+        if pair is None or shift > 0:
+            terms.append((shift, w * scale, pair))
+    return terms
 
 
 class CompactOperator:
@@ -85,24 +99,49 @@ class CompactOperator:
         self._pad = max(abs(shift) for shift, _ in self._grid_taps)
         self.solver = CyclicBandedSolver(self.n, float(alpha), float(beta))
         self._scale = self.h ** (-derivative_order)
+        self._terms = _paired_taps(self._grid_taps, self._scale)
         self.size = 2 * self.n if grid_kind == "dual" else self.n
         # the circulant's DFT symbol, scaled by h^-d: D v = ifft(symbol * fft(v))
-        self.symbol = self._scale * circulant_symbol(
+        self._symbol = self._scale * circulant_symbol(
             taps, alpha, beta, grid_kind, derivative_order, self.size,
         )
-        self._half_symbol = self.symbol[: self.size // 2 + 1]
+        self._half_symbol = self._symbol[: self.size // 2 + 1]
+        self._unscaled: tuple[float, CompactOperator] | None = None
         self._dense: np.ndarray | None = None
         self._scaled: dict[float, CompactOperator] = {}
 
-    def _rhs(self, values: np.ndarray) -> np.ndarray:
-        # row i reads values[i + shift]: slices of one periodically padded copy
-        # (values may be a block whose columns are applied one by one)
+    @property
+    def symbol(self) -> np.ndarray:
+        """The circulant's DFT symbol, scaled by h^-d (and a ``scaled``
+        factor): D v = ifft(symbol * fft(v)).  A scaled operator keeps only
+        the half that its apply reads and forms this on each read."""
+        if self._unscaled is None:
+            return self._symbol
+        factor, parent = self._unscaled
+        return factor * parent.symbol
+
+    def _tap_sum(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The scaled B v, written into ``out`` (which may be ``values``):
+        row i reads values[i + shift], a slice of one periodically padded
+        copy (values may be a block whose columns are applied one by one)."""
         pad, size = self._pad, len(values)
         padded = np.concatenate((values[size - pad:], values, values[:pad]))
-        out = np.zeros(values.shape)
-        for shift, w in self._grid_taps:
-            out += w * padded[pad + shift: pad + shift + size]
-        return out * self._scale
+
+        def at(shift):
+            return padded[pad + shift: pad + shift + size]
+
+        def term(shift, w, pair, dest):
+            if pair is None:
+                return np.multiply(at(shift), w, dest)
+            return np.multiply(pair(at(shift), at(-shift), dest), w, dest)
+
+        first, *rest = self._terms
+        term(*first, out)
+        if rest:
+            scratch = np.empty_like(out)
+            for t in rest:
+                np.add(out, term(*t, scratch), out)
+        return out
 
     def _check_size(self, values: np.ndarray) -> None:
         if len(values) != self.size:
@@ -112,19 +151,27 @@ class CompactOperator:
 
     def apply_array(self, values: np.ndarray, out=None) -> np.ndarray:
         """Operator action on a raw array (fine-grid array for dual kind),
-        by the O(N) cyclic banded solve.  Written into ``out`` when given."""
+        by the O(N) cyclic banded solve.  Written into ``out`` when given,
+        which may be ``values``.
+
+        B v is summed from one periodically padded copy of ``values``, by
+        taps that carry h^-d (and a ``scaled`` factor) already: a pair of
+        shifts +-k with opposite weights as w (v[i+k] - v[i-k]), with equal
+        weights as w (v[i+k] + v[i-k]).  B v is summed into ``out``, which
+        the band solve of a node operator's vector then overwrites (a dual
+        parity's strided rows are solved in a copy), and the corner
+        correction writes the result back into ``out``.  The solver gives each
+        column of a block (the identity, for ``dense_matrix``) the bits of
+        its own vector apply."""
         self._check_size(values)
-        rhs, solve = self._rhs(values), self.solver.solve
-        if self.grid_kind == "dual":
-            # each parity of the fine grid is its own cyclic system
-            result = np.empty_like(rhs)
-            result[0::2] = solve(rhs[0::2])
-            result[1::2] = solve(rhs[1::2])
-        else:
-            result = solve(rhs)
         if out is None:
-            return result
-        out[...] = result
+            out = np.empty(values.shape)
+        self._tap_sum(values, out)
+        # each parity of a dual operator's fine grid is its own cyclic system
+        stride = 2 if self.grid_kind == "dual" else 1
+        for parity in range(stride):
+            rows = out[parity::stride]
+            self.solver._solve_into(rows, rows)
         return out
 
     def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
@@ -147,14 +194,17 @@ class CompactOperator:
 
     def scaled(self, factor: float) -> CompactOperator:
         """This operator times ``factor``, built once per factor: it shares
-        the taps and the solver, and carries factor * h^-d, factor * symbol
-        and a dense matrix of its own, built on first use.  Every path of a
-        power-of-two factor gives ``factor`` times the unscaled apply."""
+        the solver, and carries taps times factor * h^-d, factor times the
+        half symbol and a dense matrix of its own, built on first use.
+        Every path of a power-of-two factor gives ``factor`` times the
+        unscaled apply."""
         if factor not in self._scaled:
             op = self._scaled[factor] = copy.copy(self)
             op.__dict__.pop("apply", None)  # bound to the parent's data
-            op._scale, op.symbol = factor * self._scale, factor * self.symbol
-            op._half_symbol = op.symbol[: self.size // 2 + 1]
+            op._scale = factor * self._scale
+            op._terms = _paired_taps(self._grid_taps, op._scale)
+            op._symbol, op._unscaled = None, (factor, self)
+            op._half_symbol = factor * self._half_symbol
             op._dense, op._scaled = None, {}
         return self._scaled[factor]
 

@@ -487,14 +487,21 @@ def _oracle_run(problem, disc, config):
         return op.apply_fft if largest_prime <= 13 else op.apply_array
 
     # -eps D3 as the run folds it, once, into the operator
-    third = by_rule(disc.d3_op.scaled(-problem.epsilon))
-    first = by_rule(disc.d1_op)
+    d3_op = disc.d3_op.scaled(-problem.epsilon)
+    third, first = by_rule(d3_op), by_rule(disc.d1_op)
+    half = d3_op.size // 2 + 1
 
     def rate(v):
-        r = third(v)
-        if problem.kappa != 0.0:
-            r = r - first(problem.kappa * v * v)
-        return r
+        if problem.kappa == 0.0:
+            return third(v)
+        flux = problem.kappa * v * v
+        if third == d3_op.apply_fft:
+            # the FFT path sums the two symbols, -eps D3's and -D1's, before
+            # one inverse transform
+            return np.fft.irfft(
+                d3_op.symbol[:half] * np.fft.rfft(v)
+                + -disc.d1_op.symbol[:half] * np.fft.rfft(flux), n=d3_op.size)
+        return third(v) - first(flux)
 
     filt = None
     if config.filter is not None:
@@ -639,19 +646,31 @@ def test_no_python_scalar_reaches_a_ufunc_in_a_step(family, preset, params,
     assert [(name, t) for name, t in seen if not issubclass(t, np.ndarray)] == []
 
 
-@pytest.mark.parametrize("family", ["TDCNCS", "TDCCS"])
-@pytest.mark.parametrize("preset, params, per_step", [
-    ("linear", {"c": 8.0}, {"multiply": 3, "add": 5}),
-    ("soliton", {}, {"multiply": 9, "add": 5, "subtract": 3}),
-], ids=["linear", "soliton"])
-def test_a_step_makes_the_counted_ufunc_calls(family, preset, params,
-                                              per_step, monkeypatch):
+_LINEAR, _SOLITON = ("linear", {"c": 8.0}), ("soliton", {})
+
+
+@pytest.mark.parametrize("family, n, problem, per_step", [
+    pytest.param(family, 20, problem, per_step, id=f"{problem[0]}-{family}")
+    for problem, per_step in (
+        (_LINEAR, {"multiply": 3, "add": 5}),
+        (_SOLITON, {"multiply": 9, "add": 5, "subtract": 3}))
+    for family in ("TDCNCS", "TDCCS")
+] + [
+    # FFT paths: circulant sizes 400 (node) and 1200 (dual)
+    pytest.param(family, n, _SOLITON, {"multiply": 15, "add": 8},
+                 id=f"soliton-{family}-{n}-fft")
+    for family, n in (("TDCNCS", 400), ("TDCCS", 600))
+])
+def test_a_step_makes_the_counted_ufunc_calls(family, n, problem, per_step,
+                                              monkeypatch):
     # the stages make 3 multiplies and 5 adds; a rate without a flux makes
-    # none (-eps is in D3), one with a flux 2 multiplies and 1 subtract
-    p = kdv.make_problem(preset, **params)
-    d = kdv.Discretization(family, 20, p.length, p.x_lo)
-    d.d3_op.scaled(-p.epsilon).dense_matrix()
-    d.d1_op.dense_matrix()
+    # none (-eps is in D3), one with a flux 2 multiplies and 1 subtract on
+    # the dense path, and 4 multiplies and 1 add on the FFT path
+    p = kdv.make_problem(problem[0], **problem[1])
+    d = kdv.Discretization(family, n, p.length, p.x_lo)
+    if d.d3_op.size <= DENSE_LIMIT:
+        d.d3_op.scaled(-p.epsilon).dense_matrix()
+        d.d1_op.dense_matrix()
     stepper = TvdRk3((d.d3_op.size,))
     stepper.u[...] = d.initial_state(p)
     calls = []
@@ -674,6 +693,33 @@ def test_a_step_makes_the_counted_ufunc_calls(family, preset, params,
     assert {name: names.count(name) for name in names} == {
         name: 3 * count for name, count in per_step.items()}
     assert all(issubclass(t, np.ndarray) for _, types in calls for t in types)
+
+
+# circulant sizes 400, 1200 and 2048 of each family: all on the FFT path
+@pytest.mark.parametrize("family, n", [
+    ("TDCNCS", 400), ("TDCNCS", 1200), ("TDCNCS", 2048),
+    ("TDCCS", 200), ("TDCCS", 600), ("TDCCS", 1024)])
+def test_the_fft_flux_rate_agrees_with_its_two_banded_applies(family, n):
+    # the FFT path's one symbol sum against -eps D3 v - D1 g(v), each by
+    # ``apply_array``: within 10 ulp of max|s3| max|v| + max|s1| max|g(v)|,
+    # the size the transforms round at.  Measured over these 10 states:
+    # at most 1.11 ulp of it (TDCCS at N = 1024).
+    p = kdv.make_problem("dispersion_limit", eps=1e-4)
+    d = kdv.Discretization(family, n, p.length, p.x_lo)
+    d3_op = d.d3_op.scaled(-p.epsilon)
+    assert d3_op.apply == d3_op.apply_fft
+    rate = kdv.bind_rate(p, d)
+    u0 = d.initial_state(p)
+    rng = np.random.default_rng(n)
+    for draw in range(10):
+        v = u0 + (0.1 * rng.normal(size=u0.size) if draw else 0.0)
+        flux = p.kappa * v * v
+        want = d3_op.apply_array(v) - d.d1_op.apply_array(flux)
+        out = np.empty_like(v)
+        assert rate(v, out) is out
+        scale = (np.max(np.abs(d3_op.symbol)) * np.max(np.abs(v))
+                 + np.max(np.abs(d.d1_op.symbol)) * np.max(np.abs(flux)))
+        assert np.max(np.abs(out - want)) <= 10 * 2.0 ** -52 * scale, draw
 
 
 @pytest.mark.parametrize("family", sorted(kdv.FAMILY_OPS))
@@ -799,3 +845,18 @@ def test_bit_digest_hashes_every_benchmark_kdv_cell():
     assert len(lines) == 11
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert [line.split()[0] for line in lines] == names.stdout.split()
+
+
+def test_bit_digest_measures_each_cell_against_a_saved_run(tmp_path):
+    # --save on one tree and --against on another gives each cell's move;
+    # against its own saved states every cell keeps its hash and moves by 0
+    script = str(ROOT / "tests/bit_digest.py")
+    runs = [subprocess.run([sys.executable, script, flag, str(tmp_path)],
+                           capture_output=True, text=True, timeout=60)
+            for flag in ("--save", "--against")]
+    assert [run.returncode for run in runs] == [0, 0], runs[-1].stderr
+    saved, against = (run.stdout.splitlines() for run in runs)
+    assert len(saved) == 11
+    assert against == [f"{line} 0.00e+00" for line in saved]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{line.split()[0]}.npy" for line in saved)
