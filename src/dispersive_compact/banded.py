@@ -145,7 +145,7 @@ class CyclicBandedSolver:
     bands the sweeps are the ones ``scipy.linalg.solve_banded`` runs, so the
     results are the same bits; a larger tridiagonal solve rounds apart from
     them by a few ulps.  Immutable after construction and safe to share;
-    ``solve`` never writes to its argument.
+    ``solve`` writes to its argument only when it is also ``out``.
     """
 
     def __init__(self, n: int, alpha: float, beta: float = 0.0):
@@ -245,31 +245,29 @@ class CyclicBandedSolver:
             return y - correction
         return np.subtract(y, correction, out)
 
-    def _solve_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``solve(b)``, bit for bit, written into ``out`` (which may be
-        ``b``).  A vector's band solve overwrites ``b`` in place when it is
-        contiguous (LAPACK solves a copy of a strided one)."""
-        if b.ndim == 2 or self.bandwidth == 0:
-            out[...] = self.solve(b)
-            return out
-        return self._correct(self._band_solve(b, overwrite=True), out)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs; rhs may be (n,) or (n, k), and each column of a
-        block gets the bits that a vector solve gives it alone.  A
+    def solve(self, rhs: np.ndarray, out=None) -> np.ndarray:
+        """Solve A x = rhs, written into ``out`` when given (which may be
+        ``rhs``); rhs may be (n,) or (n, k), and each column of a block gets
+        the bits that a vector solve gives it alone.  A vector solved into
+        itself is overwritten in place by LAPACK when contiguous (a strided
+        one, such as a dual parity's rows, is solved in LAPACK's copy).  A
         numpy-swept band solves a block in one sweep and corrects it column
         by column: one matrix product over all columns would round
         differently."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs length {rhs.shape[0]} != n={self.n}")
+        if rhs.ndim == 1 and self.bandwidth:
+            return self._correct(self._band_solve(rhs, overwrite=out is rhs), out)
         if self.bandwidth == 0:
-            return rhs.copy()
-        if rhs.ndim == 1:
-            return self._correct(self._band_solve(rhs))
-        if not self._numpy_sweeps:
-            return np.column_stack([self.solve(col) for col in rhs.T])
-        return np.column_stack([self._correct(y) for y in self._band_solve(rhs).T])
+            x = rhs.copy()
+        elif not self._numpy_sweeps:
+            x = np.column_stack([self.solve(col) for col in rhs.T])
+        else:
+            x = np.column_stack([self._correct(y) for y in self._band_solve(rhs).T])
+        if out is not None:
+            out[...] = x
+        return x if out is None else out
 
     def dense(self) -> np.ndarray:
         """Full matrix, for oracles and small-n construction."""

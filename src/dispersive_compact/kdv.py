@@ -288,52 +288,24 @@ class Discretization:
 
 def bind_rate(problem: KdvProblem, disc: Discretization):
     """The rate  -(g(u))_x - eps * u_xxx  as ``rate(v, out)``, which writes it
-    into ``out`` and returns it.  -eps is folded into D3 once per run
-    (``CompactOperator.scaled``), so without a flux the rate is that
-    operator's own apply: on the dense path the matrix's ``dot``.  On the
-    FFT path the two circulants are one symbol sum, so the rate with a flux
-    is irfft(s3 rfft(v) + s1 rfft(g(v))), s3 the half symbol of -eps D3 and
-    s1 that of -D1; on the others it applies -eps D3 and then subtracts
-    D1 g(v).  The apply paths are looked up once, here, kappa is bound as a
-    0-d array (no Python float reaches a ufunc), and the flux g(u) and its
-    derivative have buffers of their own, so a step's three rates make no
-    Python call below this one on the dense path.  Non-finite values are
-    left to the time stepper's check."""
-    d3_op = disc.d3_op.scaled(-problem.epsilon)
-    third = d3_op.apply
+    into ``out`` and returns it.  Its linear part is one operator, L = -eps
+    D3 (``CompactOperator.scaled``, once per run): without a flux the rate
+    is L's own apply, on the dense path the matrix's ``dot``.  With one it
+    forms g(v) = kappa v v in a buffer of its own (kappa a 0-d array, so no
+    Python float reaches a ufunc) and returns ``L.minus(D1)(v, g(v), out)``.
+    Non-finite values are left to the time stepper's check."""
+    linear = disc.d3_op.scaled(-problem.epsilon)
     if problem.kappa == 0.0:
         # no flux: D1 is not applied, so its dense matrix is never built
-        return third
+        return linear.apply
 
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    kappa = np.array(problem.kappa, float)
-    flux, d_flux = np.empty((2, disc.d1_op.size))
-
-    if third == d3_op.apply_fft:
-        # -1 is a power of two: s1 is exactly minus the half symbol of D1
-        rfft, irfft, size = np.fft.rfft, np.fft.irfft, d3_op.size
-        sigma3 = d3_op._half_symbol
-        sigma1 = disc.d1_op.scaled(-1.0)._half_symbol
-
-        def rate(v, out):
-            multiply(v, kappa, flux)
-            multiply(flux, v, flux)
-            spectrum, flux_spectrum = rfft(v), rfft(flux)
-            multiply(sigma3, spectrum, spectrum)
-            multiply(sigma1, flux_spectrum, flux_spectrum)
-            add(spectrum, flux_spectrum, spectrum)
-            return irfft(spectrum, n=size, out=out)
-
-        return rate
-
-    first = disc.d1_op.apply
+    multiply, kappa = np.multiply, np.array(problem.kappa, float)
+    flux, minus_first = np.empty(disc.d1_op.size), linear.minus(disc.d1_op)
 
     def rate(v, out):
-        third(v, out)
         multiply(v, kappa, flux)
         multiply(flux, v, flux)
-        subtract(out, first(flux, d_flux), out)
-        return out
+        return minus_first(v, flux, out)
 
     return rate
 
@@ -419,8 +391,8 @@ def check_timestep(problem: KdvProblem, disc: Discretization, dt: float,
     """Warn when dt exceeds the dispersive bound of the run's own operator or
     the convective guard of its sampled initial state ``u0``."""
     if problem.epsilon != 0.0:
-        bound = spectral.IMAG_AXIS_LIMIT_TVDRK3 / (
-            abs(problem.epsilon) * float(np.max(np.abs(disc.d3_op.symbol))))
+        linear = disc.d3_op.scaled(-problem.epsilon)  # as ``bind_rate`` applies
+        bound = spectral.IMAG_AXIS_LIMIT_TVDRK3 / float(np.max(np.abs(linear.symbol)))
         if dt > bound * (1.0 + 1e-12):
             warnings.warn(
                 f"dt={dt:.3e} exceeds the dispersive stability bound "

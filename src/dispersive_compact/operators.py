@@ -50,8 +50,10 @@ from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 # Each operator picks its path once, on its first ``apply``.
 
 
-def _fft_is_fast(size: int) -> bool:
-    """Whether every prime factor of ``size`` is at most 13."""
+def _applies_by_fft(size: int) -> bool:
+    """Whether ``apply`` takes the FFT: above DENSE_LIMIT, prime factors <= 13."""
+    if size <= DENSE_LIMIT:
+        return False
     for p in (2, 3, 5, 7, 11, 13):
         while size % p == 0:
             size //= p
@@ -101,24 +103,24 @@ class CompactOperator:
         self._scale = self.h ** (-derivative_order)
         self._terms = _paired_taps(self._grid_taps, self._scale)
         self.size = 2 * self.n if grid_kind == "dual" else self.n
-        # the circulant's DFT symbol, scaled by h^-d: D v = ifft(symbol * fft(v))
-        self._symbol = self._scale * circulant_symbol(
+        # the modes 0 to size // 2 of the DFT symbol, scaled by h^-d, which
+        # rfft gives; irfft reads only the real part of modes 0 and size / 2
+        half = self._scale * circulant_symbol(
             taps, alpha, beta, grid_kind, derivative_order, self.size,
-        )
-        self._half_symbol = self._symbol[: self.size // 2 + 1]
-        self._unscaled: tuple[float, CompactOperator] | None = None
+        )[: self.size // 2 + 1]
+        half.imag[[0, -1] if self.size % 2 == 0 else 0] = 0.0
+        self._half_symbol = half
         self._dense: np.ndarray | None = None
         self._scaled: dict[float, CompactOperator] = {}
 
     @property
     def symbol(self) -> np.ndarray:
         """The circulant's DFT symbol, scaled by h^-d (and a ``scaled``
-        factor): D v = ifft(symbol * fft(v)).  A scaled operator keeps only
-        the half that its apply reads and forms this on each read."""
-        if self._unscaled is None:
-            return self._symbol
-        factor, parent = self._unscaled
-        return factor * parent.symbol
+        factor): D v = ifft(symbol * fft(v)).  Formed on each read from the
+        one stored half, the modes 0 to size // 2 that the FFT apply reads,
+        by mirroring: symbol[-k] = conj(symbol[k])."""
+        half = self._half_symbol
+        return np.concatenate((half, half[self.size - len(half):0:-1].conj()))
 
     def _tap_sum(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The scaled B v, written into ``out`` (which may be ``values``):
@@ -171,7 +173,7 @@ class CompactOperator:
         stride = 2 if self.grid_kind == "dual" else 1
         for parity in range(stride):
             rows = out[parity::stride]
-            self.solver._solve_into(rows, rows)
+            self.solver.solve(rows, rows)
         return out
 
     def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
@@ -188,22 +190,49 @@ class CompactOperator:
         dense matrix's own ``dot`` up to DENSE_LIMIT; above, ``apply_fft`` at
         sizes whose FFT is fast and ``apply_array`` at the others.  The
         result is written into ``out`` when given, which may be ``values``."""
-        if self.size <= DENSE_LIMIT:
-            return self.dense_matrix().dot
-        return self.apply_fft if _fft_is_fast(self.size) else self.apply_array
+        if _applies_by_fft(self.size):
+            return self.apply_fft
+        return self.dense_matrix().dot if self.size <= DENSE_LIMIT else self.apply_array
+
+    def minus(self, other: CompactOperator):
+        """``apply(v, w, out)``, writing this operator's v minus ``other``'s
+        w (of the same size) into ``out``, by this operator's ``apply`` path:
+        on the FFT path one sum of half symbols, irfft(s rfft(v) + (-1 t)
+        rfft(w)); on the others ``apply(v, out)``, then ``other``'s apply of
+        w, into a buffer of its own, subtracted.  v and w keep their bytes."""
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        if _applies_by_fft(self.size):
+            rfft, irfft, size = np.fft.rfft, np.fft.irfft, self.size
+            sigma, tau = self._half_symbol, -1.0 * other._half_symbol
+
+            def apply(v, w, out):
+                spectrum, w_spectrum = rfft(v), rfft(w)
+                multiply(sigma, spectrum, spectrum)
+                multiply(tau, w_spectrum, w_spectrum)
+                add(spectrum, w_spectrum, spectrum)
+                return irfft(spectrum, n=size, out=out)
+
+            return apply
+
+        this, that, scratch = self.apply, other.apply, np.empty(other.size)
+
+        def apply(v, w, out):
+            this(v, out)
+            return subtract(out, that(w, scratch), out)
+
+        return apply
 
     def scaled(self, factor: float) -> CompactOperator:
         """This operator times ``factor``, built once per factor: it shares
-        the solver, and carries taps times factor * h^-d, factor times the
-        half symbol and a dense matrix of its own, built on first use.
-        Every path of a power-of-two factor gives ``factor`` times the
-        unscaled apply."""
+        the solver, and carries taps times factor * h^-d, one stored half
+        spectrum, factor times this one's, and a dense matrix of its own,
+        built on first use.  Every path of a power-of-two factor gives
+        ``factor`` times the unscaled apply."""
         if factor not in self._scaled:
             op = self._scaled[factor] = copy.copy(self)
             op.__dict__.pop("apply", None)  # bound to the parent's data
             op._scale = factor * self._scale
             op._terms = _paired_taps(self._grid_taps, op._scale)
-            op._symbol, op._unscaled = None, (factor, self)
             op._half_symbol = factor * self._half_symbol
             op._dense, op._scaled = None, {}
         return self._scaled[factor]

@@ -311,6 +311,31 @@ def test_solve_columns_is_solve_on_each_column(alpha, beta):
         assert got.tobytes() == want.tobytes(), n
 
 
+# a tridiagonal band swept in numpy, one solved by dpttrs, a pentadiagonal
+# band and bandwidth 0
+@pytest.mark.parametrize("n, alpha, beta", [
+    (120, 205 / 472, 0.0), (DENSE_LIMIT + 5, 205 / 472, 0.0),
+    (150, 799 / 2739, -557 / 5478), (120, 0.0, 0.0)])
+def test_solve_into_out_has_the_bytes_of_solve(n, alpha, beta):
+    # out given, and out is rhs: a contiguous vector (which LAPACK
+    # overwrites), a dual parity's strided rows and a block; without out,
+    # rhs keeps its bytes
+    solver = CyclicBandedSolver(n, alpha, beta)
+    rng = np.random.default_rng(n)
+    fine = rng.normal(size=2 * n)
+    for rhs in (rng.normal(size=n), fine[1::2], rng.normal(size=(n, 5))):
+        rhs_bytes, other_parity = rhs.tobytes(), fine[0::2].tobytes()
+        want = solver.solve(rhs)
+        assert rhs.tobytes() == rhs_bytes
+        out = np.empty_like(want)
+        assert solver.solve(rhs, out) is out
+        assert out.tobytes() == want.tobytes()
+        assert rhs.tobytes() == rhs_bytes
+        assert solver.solve(rhs, rhs) is rhs
+        assert rhs.tobytes() == want.tobytes()
+        assert fine[0::2].tobytes() == other_parity
+
+
 def test_missing_lapack_extension_names_the_directory_searched(monkeypatch,
                                                                 tmp_path):
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])

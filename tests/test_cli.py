@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -234,6 +235,28 @@ ANALYSIS_ARGV = [
     ["ls-optimize", "--family", "TDCCS", "--variant", "T8"],
     ["filter-analyze", "--samples", "8"],
 ]
+# the analyses at their default sizes, every scheme's efficiency, and runs
+# by dispatch: dense node and filtered dual paths, then a banded one
+DENSE_ARGV = [
+    ["spectrum", "--scheme", "TDCCS-T6"],
+    ["efficiency", "--schemes", "all"],
+    ["filter-analyze"],
+    ["run", "--example", "linear", "--N", "20", "--t-final", "0.01"],
+    ["run", "--example", "triple_soliton", "--scheme", "tdccs", "--N", "40",
+     "--dt-rule", "half_h2", "--t-final", "0.01", "--filter", "F12:0.4:1"],
+]
+BANDED_ARGV = ["run", "--example", "dispersion_limit", "--dt-rule", "cfl_h3",
+               "--cfl", "50", "--t-final", "5e-6", "--scheme", "tdcncs",
+               "--N", "389"]
+
+
+def test_the_library_reads_no_environment_variable():
+    # every file under this checkout's src/, as grep -r reads them
+    files = [p for p in (pathlib.Path(__file__).resolve().parents[1]
+                         / "src").rglob("*") if p.is_file()]
+    assert any(p.suffix == ".py" for p in files)
+    assert [str(p) for p in files
+            if re.search(rb"os\.environ|getenv", p.read_bytes())] == []
 
 
 def test_lapack_loads_only_for_a_banded_path_solver():
@@ -241,13 +264,19 @@ def test_lapack_loads_only_for_a_banded_path_solver():
     # The analysis commands and the dense-path runs (a node run at N = 20, a
     # filtered dual one at N = 40) must load neither it nor LAPACK; a band
     # above the dense limit must load LAPACK, or the check proves nothing,
-    # and still not scipy.linalg
+    # and still not scipy.linalg.  No path loads scipy.signal or mpmath
     script = f"""
 import sys
 from dispersive_compact import banded, cli, kdv, operators
-for argv in {ANALYSIS_ARGV!r}:
+
+def heavy():
+    return [m for m in ("scipy.linalg", "scipy.signal", "mpmath")
+            if m in sys.modules]
+
+assert not heavy(), heavy()
+for argv in {ANALYSIS_ARGV + DENSE_ARGV!r}:
     assert cli.dispatch(argv) == 0, argv
-assert "scipy.linalg" not in sys.modules, "loaded by the analysis"
+assert not heavy(), ("loaded by the analysis", heavy())
 problem = kdv.make_problem("linear", c=8.0)
 disc = kdv.Discretization("TDCNCS", 20, problem.length, problem.x_lo)
 kdv.integrate(problem, disc, kdv.RunConfig(t_final=0.01))
@@ -256,7 +285,7 @@ disc = kdv.Discretization("TDCCS", 40, problem.length, problem.x_lo)
 config = kdv.RunConfig(dt_rule="half_h2", t_final=0.01,
                        filter=kdv.FilterConfig("F12", 0.4, 1))
 kdv.integrate(problem, disc, config)
-assert "scipy.linalg" not in sys.modules, "loaded by a dense-path run"
+assert not heavy(), ("loaded by a dense-path run", heavy())
 assert banded._lapack.cache_info().currsize == 0, "LAPACK loaded too early"
 # a band above the dense limit, tri- and pentadiagonal, loads LAPACK's
 # extension by itself; scipy.linalg imported afterwards gives the same bits:
@@ -266,7 +295,8 @@ tri = kdv.Discretization("TDCNCS", 389, 1.0).d3_op.solver
 assert banded._lapack.cache_info().currsize == 1, "not loaded by a band"
 penta = operators.CompactOperator("TDCCS-P10", 400, 1.0).solver
 assert (tri.bandwidth, penta.bandwidth) == (1, 2)
-assert "scipy.linalg" not in sys.modules, "loaded by a banded-path solver"
+assert cli.dispatch({BANDED_ARGV!r}) == 0
+assert not heavy(), ("loaded by a banded-path solver or run", heavy())
 from scipy.linalg import lapack, solve_banded
 d, e, info = lapack.dpttrf(tri._ab[1], tri._ab[0, 1:])
 assert info == 0

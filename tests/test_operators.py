@@ -384,6 +384,54 @@ def test_a_scaled_operator_rounds_within_a_few_ulp(scheme_id, n):
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
+# each family's third and first derivatives: dense (N = 20, 40), banded
+# (sizes 389 and 386 = 2 * 193) and FFT (sizes 400 and 2048) paths
+MINUS_SCHEMES = {"TDCNCS": ("TDCNCS-T8", "CNCS-T8"),
+                 "TDCCS": ("TDCCS-T8", "CCS-T8")}
+MINUS_CASES = [(family, n) for family in MINUS_SCHEMES for n in (20, 40)] + [
+    ("TDCNCS", 389), ("TDCCS", 193), ("TDCNCS", 400), ("TDCCS", 200),
+    ("TDCNCS", 2048), ("TDCCS", 1024)]
+
+
+@pytest.mark.parametrize("family, n", MINUS_CASES)
+def test_minus_is_this_apply_less_the_others(family, n):
+    # dense and banded paths: the bytes of the two applies and a subtract;
+    # the FFT path's one symbol sum: within 10 ulp of max|s| max|v| +
+    # max|t| max|w| of the two banded applies, the size the transforms
+    # round at (as the flux rate's).  v and w keep their bytes.
+    third, first = MINUS_SCHEMES[family]
+    op = build_operator(third, n, 1.0 / n).scaled(-1e-4)
+    other = build_operator(first, n, 1.0 / n)
+    minus = op.minus(other)
+    rng = np.random.default_rng(n)
+    for draw in range(5):
+        v, w = rng.normal(size=(2, op.size))
+        v_bytes, w_bytes, out = v.tobytes(), w.tobytes(), np.empty(op.size)
+        assert minus(v, w, out) is out
+        assert (v.tobytes(), w.tobytes()) == (v_bytes, w_bytes)
+        if op.apply != op.apply_fft:
+            assert np.array_equal(out, op.apply(v) - other.apply(w)), draw
+            continue
+        want = op.apply_array(v) - other.apply_array(w)
+        scale = (np.max(np.abs(op.symbol)) * np.max(np.abs(v))
+                 + np.max(np.abs(other.symbol)) * np.max(np.abs(w)))
+        assert np.max(np.abs(out - want)) <= 10 * 2.0 ** -52 * scale, draw
+
+
+# odd sizes 21, 193 and 389 (at the last two, prime, the full DFT gives the
+# mean an imaginary round-off), even sizes 40, 386 and 400
+@pytest.mark.parametrize("scheme_id, n", [
+    ("TDCNCS-T8", 21), ("CNCS-T8", 193), ("TDCNCS-T8", 389),
+    ("TDCCS-T8", 20), ("CCS-T8", 193), ("TDCNCS-T8", 400)])
+def test_the_formed_symbol_is_exactly_conjugate_symmetric(scheme_id, n):
+    # formed from the one stored half, whose mean (and Nyquist) mode is real
+    op = build_operator(scheme_id, n, 1.0 / n)
+    for o in (op, op.scaled(-1e-4), op.scaled(-1.0)):
+        symbol = o.symbol
+        assert symbol.shape == (o.size,)
+        assert np.array_equal(symbol, np.conj(symbol[-np.arange(o.size)]))
+
+
 def _allocating_apply(op, v):
     """``apply_array`` as an allocating tap sum, then the scale h^-d (times a
     ``scaled`` factor), then ``solver.solve`` of each parity."""
