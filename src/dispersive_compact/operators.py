@@ -21,38 +21,73 @@ from .banded import DENSE_LIMIT, CyclicBandedSolver
 from .spectral import SchemeSymbol, circulant_symbol, grid_taps
 
 
-# Circulant sizes up to DENSE_LIMIT (384, declared in ``banded``, which
-# factors the tridiagonal bands up to it in numpy and flushes subnormals in
-# larger solvers) apply a cached dense matrix, by the matrix's own ``dot``
-# method: the BLAS call of ``np.dot`` without its dispatch.  Measured on
-# a 2-vCPU x86-64 VM with one BLAS thread, dense matvec vs FFT apply: 8.8 vs
-# 14.2 us at 240, 20.7 vs 20.1 us at 384, 53.7 vs 16.9 us at 512, 1.27 ms vs
-# 46 us at 2048 (a rerun had them cross between 240 and 320).  Near the limit
-# the two differ by microseconds per apply.  The linear tables run at sizes up
-# to 240, and their round-off-floor errors depend on the dense path's exact
-# rounding.
+# ``apply`` takes the FFT at the sizes above FFT_THRESHOLD whose prime
+# factors are all <= 13.  Its transforms are numpy's pocketfft gufuncs,
+# called directly (``_real_transforms``): the C transforms and factors that
+# ``np.fft.rfft``/``irfft`` call, so the same bits, without the Python
+# wrappers, which cost half of a small transform (rfft at 240 points: 5.4 us
+# through ``np.fft``, 2.0 us by the gufunc).  Measured on a 2-vCPU x86-64 VM
+# with one BLAS thread, dense matvec vs FFT (us; TDCCS-T8 with the soliton's
+# eps and kappa: the flux rate of ``kdv.bind_rate`` and one apply of
+# -eps D3, best of 15; a second run had the rate at 160 as 7.6 vs 6.9):
 #
-# Above the limit the FFT's cost depends on how the size factors, while the
-# factored banded solve (``apply_array``) is O(N) at any size.  One apply
-# into ``out``, banded vs FFT, same VM, both rows in one run (us; TDCCS-T8
-# at the sizes 2N = 386, 4098 and 8194, TDCNCS-T8 at the others):
+#   size         160    192    216    240    320    384
+#   dense rate   6.7   10.9   13.5   16.1   28.5   66.9
+#   FFT rate     6.5    6.9    8.0    7.6    8.7   10.1
+#   dense apply  3.4    4.9    6.2    7.3   12.9   19.4
+#   FFT apply    3.6    4.0    4.7    4.4    5.0    6.7
+#
+# Up to the threshold the two differ by about a microsecond, and the sizes
+# there keep the dense path's exact rounding, on which the round-off-floor
+# errors of the linear tables (criteria 5 and 6, sizes up to 200) depend.
+#
+# At the other sizes up to DENSE_LIMIT (384, declared in ``banded``, which
+# factors the tridiagonal bands up to it in numpy and flushes subnormals in
+# larger solvers) ``apply`` is a cached dense matrix's own ``dot`` method:
+# the BLAS call of ``np.dot`` without its dispatch.  Above it, the factored
+# banded solve (``apply_array``) is O(N) at any size, while the FFT's cost
+# depends on how the size factors.  One apply into ``out``, banded vs FFT,
+# same VM, both rows in one run (us; TDCCS-T8 at the sizes 2N = 386, 4098
+# and 8194, TDCNCS-T8 at the others):
 #
 #   size     386   1021   2049   4097   4098   8194 |  385   2048   4096   8192
-#   banded    45     25     40     64     77    137 |   20     40     68    109
-#   FFT       49    135    301    256    664    524 |   17     33     64    132
+#   banded    28     25     36     61     64    116 |   18     37     59    107
+#   FFT       36    117    263    213    718    428 |    7     23     49    109
 #
-# So ``apply`` uses the FFT at sizes whose prime factors are all <= 13 and
+# So above DENSE_LIMIT, too, ``apply`` uses the FFT at 13-smooth sizes and
 # the banded solve at the others.  Of the 13-smooth sizes the FFT wins 385,
-# 400, 2048 and 4096 (by 3-7 us; 400: 15 vs 20) and ties 1001 (26 vs 28),
-# but the banded solve, with its taps paired and pre-scaled, wins 4225,
-# 4400 and 8192 (69 vs 93, 68 vs 79, 109 vs 132 us; in each of three runs).
-# The rule is kept: moving it would change the bits of runs at those sizes.
+# 400, 1001, 2048 and 4096 (400: 6 vs 18 us; 1001: 16 vs 25) and ties 4400
+# and 8192 (63 vs 64, 109 vs 107, in each of three runs), but the banded
+# solve, with its taps paired and pre-scaled, still wins 4225 (61 vs 70).
+# The rule is kept: moving it would change the bits of runs at that size.
 # Each operator picks its path once, on its first ``apply``.
+FFT_THRESHOLD = 200
+
+
+@functools.cache
+def _pocketfft():
+    """numpy's ``_pocketfft_umath`` extension, whose gufuncs ``np.fft``
+    wraps: loaded on the first FFT-path apply."""
+    from numpy.fft import _pocketfft_umath
+
+    return _pocketfft_umath
+
+
+def _real_transforms(size: int) -> tuple:
+    """``(rfft, irfft, one, inverse)`` for ``size`` points: numpy's gufuncs,
+    called as ``rfft(v, one, spectrum)`` and ``irfft(spectrum, inverse,
+    out)``, with the factors ``np.fft.rfft`` and ``np.fft.irfft`` pass them,
+    1 and 1 / size, bound as 0-d arrays."""
+    fft = _pocketfft()
+    rfft = fft.rfft_n_even if size % 2 == 0 else fft.rfft_n_odd
+    return (rfft, fft.irfft, np.array(1.0),
+            np.array(np.reciprocal(size, dtype=float)))
 
 
 def _applies_by_fft(size: int) -> bool:
-    """Whether ``apply`` takes the FFT: above DENSE_LIMIT, prime factors <= 13."""
-    if size <= DENSE_LIMIT:
+    """Whether ``apply`` takes the FFT: above FFT_THRESHOLD, prime factors
+    <= 13."""
+    if size <= FFT_THRESHOLD:
         return False
     for p in (2, 3, 5, 7, 11, 13):
         while size % p == 0:
@@ -176,20 +211,37 @@ class CompactOperator:
             self.solver.solve(rows, rows)
         return out
 
-    def apply_fft(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Operator action on a raw array of ``size`` values by real FFT; agrees
-        with ``apply_array`` to round-off.  Written into ``out`` when given."""
-        self._check_size(values)
-        return np.fft.irfft(self._half_symbol * np.fft.rfft(values),
-                            n=self.size, out=out)
+    @functools.cached_property
+    def apply_fft(self):
+        """``apply_fft(values, out=None)``, the operator action on a raw
+        array of ``size`` values by real FFT, through numpy's gufuncs
+        (``_real_transforms``) and a spectrum buffer of its own: the bits of
+        ``np.fft.irfft(half * np.fft.rfft(values), n=size)``, the stored
+        half spectrum's product.  Agrees with ``apply_array`` to round-off.
+        Written into ``out`` when given, which may be ``values``."""
+        rfft, irfft, one, inverse = _real_transforms(self.size)
+        multiply, check, size = np.multiply, self._check_size, self.size
+        sigma = self._half_symbol
+        spectrum = np.empty_like(sigma)
+
+        def apply_fft(values, out=None):
+            check(values)
+            rfft(values, one, spectrum)
+            multiply(sigma, spectrum, spectrum)
+            if out is None:
+                out = np.empty(size)
+            return irfft(spectrum, inverse, out)
+
+        return apply_fft
 
     @functools.cached_property
     def apply(self):
         """``apply(values, out=None)``, the operator action as time loops
-        apply it, by the path chosen for ``size`` on first use: the cached
-        dense matrix's own ``dot`` up to DENSE_LIMIT; above, ``apply_fft`` at
-        sizes whose FFT is fast and ``apply_array`` at the others.  The
-        result is written into ``out`` when given, which may be ``values``."""
+        apply it, by the path chosen for ``size`` on first use:
+        ``apply_fft`` at the sizes above FFT_THRESHOLD whose prime factors
+        are all <= 13; at the others the cached dense matrix's own ``dot``
+        up to DENSE_LIMIT and ``apply_array`` above.  The result is written
+        into ``out`` when given, which may be ``values``."""
         if _applies_by_fft(self.size):
             return self.apply_fft
         return self.dense_matrix().dot if self.size <= DENSE_LIMIT else self.apply_array
@@ -198,19 +250,22 @@ class CompactOperator:
         """``apply(v, w, out)``, writing this operator's v minus ``other``'s
         w (of the same size) into ``out``, by this operator's ``apply`` path:
         on the FFT path one sum of half symbols, irfft(s rfft(v) + (-1 t)
-        rfft(w)); on the others ``apply(v, out)``, then ``other``'s apply of
+        rfft(w)), by ``apply_fft``'s gufuncs into two spectrum buffers of its
+        own; on the others ``apply(v, out)``, then ``other``'s apply of
         w, into a buffer of its own, subtracted.  v and w keep their bytes."""
         multiply, add, subtract = np.multiply, np.add, np.subtract
         if _applies_by_fft(self.size):
-            rfft, irfft, size = np.fft.rfft, np.fft.irfft, self.size
+            rfft, irfft, one, inverse = _real_transforms(self.size)
             sigma, tau = self._half_symbol, -1.0 * other._half_symbol
+            spectrum, w_spectrum = np.empty_like(sigma), np.empty_like(sigma)
 
             def apply(v, w, out):
-                spectrum, w_spectrum = rfft(v), rfft(w)
+                rfft(v, one, spectrum)
+                rfft(w, one, w_spectrum)
                 multiply(sigma, spectrum, spectrum)
                 multiply(tau, w_spectrum, w_spectrum)
                 add(spectrum, w_spectrum, spectrum)
-                return irfft(spectrum, n=size, out=out)
+                return irfft(spectrum, inverse, out)
 
             return apply
 
@@ -230,7 +285,8 @@ class CompactOperator:
         ``factor`` times the unscaled apply."""
         if factor not in self._scaled:
             op = self._scaled[factor] = copy.copy(self)
-            op.__dict__.pop("apply", None)  # bound to the parent's data
+            for name in ("apply", "apply_fft"):  # bound to the parent's data
+                op.__dict__.pop(name, None)
             op._scale = factor * self._scale
             op._terms = _paired_taps(self._grid_taps, op._scale)
             op._half_symbol = factor * self._half_symbol

@@ -308,12 +308,47 @@ for solver, band_solve in band_solves:
     oracle = solver._correct(band_solve(rhs))
     assert solver.solve(rhs).tobytes() == oracle.tobytes(), solver.bandwidth
 """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def _package_env():
+    """This environment, with the tested package's folder first on
+    PYTHONPATH, for a fresh interpreter."""
     src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("argv", [
+    # the bound step loop: a linear dual run, a node soliton and a filtered
+    # dual run, on the dense path
+    pytest.param("run --example linear --c 8 --scheme tdccs --N 20"
+                 " --t-final 0.01", id="dense-linear-40"),
+    pytest.param("run --example soliton --scheme tdcncs --N 40"
+                 " --t-final 0.01", id="dense-soliton-40"),
+    pytest.param("run --example triple_soliton --scheme tdccs --N 40"
+                 " --dt-rule half_h2 --t-final 0.01 --filter F12:0.4:1",
+                 id="dense-filtered-80"),
+    # off the dense path: banded at size 389, FFT at sizes 1200 and 240
+    pytest.param("run --example dispersion_limit --scheme tdcncs --N 389"
+                 " --dt-rule cfl_h3 --cfl 50 --t-final 5e-6"
+                 " --filter F12:0.4:3", id="banded-filtered-389"),
+    pytest.param("run --example dispersion_limit --scheme tdccs --N 600"
+                 " --dt-rule cfl_h3 --cfl 50 --t-final 5e-6"
+                 " --filter F12:0.4:3", id="fft-filtered-1200"),
+    pytest.param("run --example soliton --scheme tdccs --N 120"
+                 " --t-final 0.01", id="fft-soliton-240"),
+])
+def test_a_run_exits_cleanly_under_python_w_error(argv):
+    # the module entry point in a fresh interpreter, where any warning is
+    # an error
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dispersive_compact",
+         *argv.split()], capture_output=True, text=True, timeout=120,
+        env=_package_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,15 +7,17 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from dispersive_compact import exact, kdv, spectral
+from dispersive_compact import exact, kdv, operators, spectral
 from dispersive_compact.kdv import DualGridFunction
 from dispersive_compact.operators import (
     DENSE_LIMIT,
+    FFT_THRESHOLD,
     CompactOperator,
     FilterOperator,
     filter_by_name,
@@ -161,7 +163,10 @@ def test_run_state_points_are_the_sampled_points(family):
     assert np.array_equal(u, p.initial(x))
 
 
-@pytest.mark.parametrize("family, n", [("TDCNCS", 384), ("TDCCS", 192)])
+# circulant sizes 200 (at FFT_THRESHOLD), 383 (prime) and 382 = 2 * 191 (a
+# prime factor above 13) take the dense path
+@pytest.mark.parametrize("family, n", [("TDCNCS", 200), ("TDCCS", 100),
+                                       ("TDCNCS", 383), ("TDCCS", 191)])
 def test_small_grids_apply_the_dense_matrix_exactly(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
@@ -169,8 +174,10 @@ def test_small_grids_apply_the_dense_matrix_exactly(family, n):
     assert np.array_equal(d.d1_op.apply(v), d.d1_op.dense_matrix() @ v)
 
 
-# circulant sizes 385 = 5*7*11 and 400 = 2^4 * 5^2 factor into primes <= 13
-@pytest.mark.parametrize("family, n", [("TDCNCS", 385), ("TDCCS", 200)])
+# circulant sizes 240 = 2^4 * 3 * 5 (the dual soliton run at N = 120),
+# 385 = 5*7*11 and 400 = 2^4 * 5^2 factor into primes <= 13
+@pytest.mark.parametrize("family, n", [("TDCCS", 120), ("TDCNCS", 385),
+                                       ("TDCCS", 200)])
 def test_large_grids_apply_by_fft_without_a_dense_build(family, n):
     d = kdv.Discretization(family, n, 2 * np.pi)
     v = np.random.default_rng(2).normal(size=2 * n if d.dual else n)
@@ -475,16 +482,24 @@ def _oracle_run(problem, disc, config):
     n_steps = max(1, round(t_final / config.timestep(disc.h)))
     dt = t_final / n_steps
 
-    def by_rule(op):
-        # the dense/FFT/banded rule of CompactOperator.apply
-        if op.size <= DENSE_LIMIT:
-            dense = op.dense_matrix()
-            return lambda v: dense @ v
+    def by_fft(op):
+        # the FFT half of CompactOperator.apply's rule
         size, largest_prime = op.size, 1
         for p in range(2, op.size + 1):
             while size % p == 0:
                 size, largest_prime = size // p, p
-        return op.apply_fft if largest_prime <= 13 else op.apply_array
+        return op.size > FFT_THRESHOLD and largest_prime <= 13
+
+    def by_rule(op):
+        # the dense/FFT/banded rule of CompactOperator.apply, the FFT written
+        # with numpy's public transforms
+        if by_fft(op):
+            half = op.symbol[:op.size // 2 + 1]
+            return lambda v: np.fft.irfft(half * np.fft.rfft(v), n=op.size)
+        if op.size <= DENSE_LIMIT:
+            dense = op.dense_matrix()
+            return lambda v: dense @ v
+        return op.apply_array
 
     # -eps D3 as the run folds it, once, into the operator
     d3_op = disc.d3_op.scaled(-problem.epsilon)
@@ -495,7 +510,7 @@ def _oracle_run(problem, disc, config):
         if problem.kappa == 0.0:
             return third(v)
         flux = problem.kappa * v * v
-        if third == d3_op.apply_fft:
+        if by_fft(d3_op):
             # the FFT path sums the two symbols, -eps D3's and -D1's, before
             # one inverse transform
             return np.fft.irfft(
@@ -551,6 +566,12 @@ def _dispersion_limit_10_steps(n, flt=None):
     ("dispersion_limit", {}, "TDCCS", 600, _dispersion_limit_10_steps(
         600, kdv.FilterConfig("F12", 0.4, 3))),
     ("dispersion_limit", {}, "TDCNCS", 1031, _dispersion_limit_10_steps(1031)),
+    # FFT paths at size 240 = 2^4 * 3 * 5: the dual soliton run at N = 120
+    # and a node-only filtered run
+    ("soliton", {}, "TDCCS", 120, kdv.RunConfig(t_final=0.005)),
+    ("triple_soliton", {}, "TDCNCS", 240, kdv.RunConfig(
+        dt_rule="half_h2", t_final=0.002,
+        filter=kdv.FilterConfig("F12", 0.4, 3))),
 ])
 def test_integrate_equals_plain_numpy_loop(preset, params, family, n, config):
     problem = kdv.make_problem(preset, **params)
@@ -656,34 +677,44 @@ _LINEAR, _SOLITON = ("linear", {"c": 8.0}), ("soliton", {})
         (_SOLITON, {"multiply": 9, "add": 5, "subtract": 3}))
     for family in ("TDCNCS", "TDCCS")
 ] + [
-    # FFT paths: circulant sizes 400 (node) and 1200 (dual)
-    pytest.param(family, n, _SOLITON, {"multiply": 15, "add": 8},
+    # FFT paths: circulant sizes 400 (node), 1200 and 240 (dual)
+    pytest.param(family, n, _SOLITON,
+                 {"multiply": 15, "add": 8, "rfft": 6, "irfft": 3},
                  id=f"soliton-{family}-{n}-fft")
-    for family, n in (("TDCNCS", 400), ("TDCCS", 600))
+    for family, n in (("TDCNCS", 400), ("TDCCS", 600), ("TDCCS", 120))
 ])
 def test_a_step_makes_the_counted_ufunc_calls(family, n, problem, per_step,
                                               monkeypatch):
     # the stages make 3 multiplies and 5 adds; a rate without a flux makes
     # none (-eps is in D3), one with a flux 2 multiplies and 1 subtract on
-    # the dense path, and 4 multiplies and 1 add on the FFT path
+    # the dense path, and 4 multiplies and 1 add on the FFT path, where it
+    # also calls pocketfft's rfft gufunc twice and its irfft once (np.fft's
+    # wrappers never)
     p = kdv.make_problem(problem[0], **problem[1])
     d = kdv.Discretization(family, n, p.length, p.x_lo)
-    if d.d3_op.size <= DENSE_LIMIT:
-        d.d3_op.scaled(-p.epsilon).dense_matrix()
-        d.d1_op.dense_matrix()
+    # the dense path's matrices are built before the spies are installed
+    d.d3_op.scaled(-p.epsilon).apply, d.d1_op.apply
     stepper = TvdRk3((d.d3_op.size,))
     stepper.u[...] = d.initial_state(p)
     calls = []
 
-    def spy(ufunc):
+    def spy(ufunc, name=None):
         def call(*args, **kwargs):
-            calls.append((ufunc.__name__, [type(a) for a in args]))
+            calls.append((name or ufunc.__name__, [type(a) for a in args]))
             return ufunc(*args, **kwargs)
         return call
 
     # installed before bind_rate and advance look the ufuncs up
     for name in ("multiply", "add", "subtract"):
         monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, spy(getattr(np.fft, name),
+                                              f"np.fft.{name}"))
+    gufuncs = operators._pocketfft()
+    monkeypatch.setattr(operators, "_pocketfft", lambda: types.SimpleNamespace(
+        rfft_n_even=spy(gufuncs.rfft_n_even, "rfft"),
+        rfft_n_odd=spy(gufuncs.rfft_n_odd, "rfft"),
+        irfft=spy(gufuncs.irfft, "irfft")))
     rate = kdv.bind_rate(p, d)
     if p.kappa == 0.0:  # the scaled matrix's own dot, no Python closure
         assert rate.__name__ == "dot"
@@ -692,7 +723,8 @@ def test_a_step_makes_the_counted_ufunc_calls(family, n, problem, per_step,
     names = [name for name, _ in calls]
     assert {name: names.count(name) for name in names} == {
         name: 3 * count for name, count in per_step.items()}
-    assert all(issubclass(t, np.ndarray) for _, types in calls for t in types)
+    assert all(issubclass(t, np.ndarray)
+               for _, arg_types in calls for t in arg_types)
 
 
 # circulant sizes 400, 1200 and 2048 of each family: all on the FFT path

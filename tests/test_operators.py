@@ -284,8 +284,11 @@ def test_unknown_filter_name():
 @pytest.mark.parametrize("name", ["F8", "F10", "F12"])
 @pytest.mark.parametrize("grid_kind", ["node_only", "dual"])
 def test_filter_matvec_matches_banded_apply(name, grid_kind):
-    # circulant sizes just below and above the dense limit 384
-    ns = (191, 192, 193) if grid_kind == "dual" else (383, 384, 385)
+    # circulant sizes at and above FFT_THRESHOLD 200, just below and at the
+    # dense limit 384, and above it: dense 200, 382 = 2 * 191 and 383 (prime
+    # factors above 13), FFT 216 and 384, banded 386 = 2 * 193 and 389
+    ns = ((100, 108, 191, 192, 193) if grid_kind == "dual"
+          else (200, 216, 383, 384, 389))
     rng = np.random.default_rng(13)
     for n in ns:
         filt = FilterOperator(filter_by_name(name, 0.4), n, grid_kind)
@@ -293,16 +296,17 @@ def test_filter_matvec_matches_banded_apply(name, grid_kind):
         v = rng.normal(size=filt.size)
         ref = filt.apply_array(v)
         got = filt.apply(v)
-        assert (filt._dense is not None) == (filt.size <= DENSE_LIMIT)
+        assert (filt._dense is not None) == (filt.size in (200, 382, 383))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), n
         # in place, as the time loop applies it
         assert np.array_equal(filt.apply(v, out=v), got)
         assert np.array_equal(v, got)
 
 
-# the path apply takes above the dense limit: the FFT where every prime
-# factor of the size is <= 13, the banded solve elsewhere
-MATVEC_PATHS = {385: "apply_fft", 386: "apply_array", 389: "apply_array",
+# the path apply takes above FFT_THRESHOLD: the FFT where every prime factor
+# of the size is <= 13; elsewhere, above the dense limit, the banded solve
+MATVEC_PATHS = {216: "apply_fft", 240: "apply_fft", 384: "apply_fft",
+                385: "apply_fft", 386: "apply_array", 389: "apply_array",
                 400: "apply_fft", 4096: "apply_fft", 4097: "apply_array",
                 4098: "apply_array", 8194: "apply_array"}
 _MATVEC_CASES = [(size, "node") for size in MATVEC_PATHS] + [
@@ -325,6 +329,49 @@ def test_matvec_takes_the_path_of_its_size(size, kind):
     assert np.array_equal(op.apply(v), want)
     assert np.array_equal(op.apply(v, out=v), want)
     assert op._dense is None
+
+
+# FFT-path sizes: 216, 240, 400 and 2048 node and dual, 385 node
+FFT_CASES = [(size, kind) for size in (216, 240, 385, 400, 2048)
+             for kind in ("node", "dual") if size % 2 == 0 or kind == "node"]
+
+
+@pytest.mark.parametrize("size, kind", FFT_CASES)
+def test_the_fft_path_has_the_bits_of_numpys_public_transforms(size, kind):
+    # pocketfft's gufuncs, called directly, against np.fft's wrappers of
+    # them: apply_fft, minus and a filter, scaled and unscaled, into a fresh
+    # array, into out and into the values themselves
+    def public(half, v):
+        return np.fft.irfft(half * np.fft.rfft(v), n=size)
+
+    if kind == "node":
+        third, first = (build_operator(sid, size, 1.0 / size)
+                        for sid in ("TDCNCS-T8", "CNCS-T8"))
+        filt = FilterOperator(filter_by_name("F12", 0.4), size)
+    else:
+        third, first = (build_operator(sid, size // 2, 2.0 / size)
+                        for sid in ("TDCCS-T8", "CCS-T8"))
+        filt = FilterOperator(filter_by_name("F12", 0.4), size // 2, "dual")
+    half = size // 2 + 1
+    rng = np.random.default_rng(size)
+    for op in (third, third.scaled(-1e-4), first, filt, filt.scaled(0.3)):
+        assert op.apply == op.apply_fft
+        v = rng.normal(size=size)
+        want = public(op.symbol[:half], v)
+        assert np.array_equal(op.apply_fft(v), want)
+        out = np.empty(size)
+        assert op.apply_fft(v, out) is out
+        assert np.array_equal(out, want)
+        assert op.apply_fft(v, v) is v
+        assert np.array_equal(v, want)
+    for op in (third, third.scaled(-1e-4)):
+        v, w = rng.normal(size=(2, size))
+        out = np.empty(size)
+        assert op.minus(first)(v, w, out) is out
+        want = np.fft.irfft(op.symbol[:half] * np.fft.rfft(v)
+                            + -1.0 * first.symbol[:half] * np.fft.rfft(w),
+                            n=size)
+        assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("size", [40, 385, 389])
