@@ -560,8 +560,6 @@ _DERIVED_VARIANTS = {
     "CNCS": ("T8",),
     "CCS": ("T8",),
 }
-_derived_cache: dict[str, SchemeCoefficients] = {}
-
 _ALIASES = {
     # the TE label marks Taylor-derived coefficients, the default route
     "TDCCS-TE": "TDCCS",
@@ -594,11 +592,16 @@ def builtin_scheme(scheme_id: str) -> tuple[SchemeTemplate, SchemeCoefficients]:
         return _FAMILY_TEMPLATES[family], _CATALOGUE[name]
     if variant not in _DERIVED_VARIANTS.get(family, ()):
         raise UnknownSchemeError(scheme_id, catalogued_scheme_ids())
-    template = _FAMILY_TEMPLATES[family]
-    if name not in _derived_cache:
-        zero, order = VARIANT_CONSTRAINTS[variant]
-        _derived_cache[name] = derive_coefficients(template, zero, order, family=name)
-    return template, _derived_cache[name]
+    return _FAMILY_TEMPLATES[family], _derived(family, variant)
+
+
+@functools.cache
+def _derived(family: str, variant: str) -> SchemeCoefficients:
+    """A derived-only scheme's coefficients, keyed by the resolved name, so
+    that an alias and its family share one derivation."""
+    zero, order = VARIANT_CONSTRAINTS[variant]
+    return derive_coefficients(_FAMILY_TEMPLATES[family], zero, order,
+                               family=f"{family}-{variant}")
 
 
 def family_template(family: str) -> SchemeTemplate:

@@ -38,6 +38,8 @@ class KdvProblem:
     t_final: float
 
     def __post_init__(self):
+        _checked(x_lo=self.x_lo, x_hi=self.x_hi, kappa=self.kappa,
+                 epsilon=self.epsilon)
         if self.x_hi <= self.x_lo:
             raise ValueError("x_hi must exceed x_lo")
         _check_t_final(self.t_final)
@@ -260,8 +262,8 @@ class Discretization:
             raise KeyError(f"unknown family {family!r}; "
                            f"valid: {', '.join(FAMILY_OPS)}")
         self.n = _whole("N", n, 1)
+        length, self.x_lo = _checked(("length",), length=length, x_lo=x_lo)
         self.h = length / self.n
-        self.x_lo = float(x_lo)
         self.third_scheme, first_scheme = FAMILY_OPS[family]
         self.d3_op = CompactOperator(self.third_scheme, self.n, self.h)
         self.d1_op = CompactOperator(first_scheme, self.n, self.h)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,6 +129,8 @@ class CompactOperator:
 
     def _init_circulant(self, taps, alpha, beta, derivative_order: int,
                         grid_kind: str, n: int, h: float) -> None:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"h must be finite and positive, got {h}")
         self.derivative_order = derivative_order
         self.grid_kind = grid_kind
         self.n = int(n)

@@ -271,13 +271,16 @@ _LS_FAMILIES = {
 # least squares needs a free implicit coefficient, alpha or beta
 _LS_VARIANTS = ("T4", "T6", "T8", "P6", "P8", "P10")
 
-_symbol_cache: dict[str, SchemeSymbol] = {}
-
 
 def scheme_symbol(scheme_id: str) -> SchemeSymbol:
-    """Resolve any catalogued / derived / CI / LS scheme id to its symbol."""
-    if scheme_id in _symbol_cache:
-        return _symbol_cache[scheme_id]
+    """Resolve any catalogued / derived / CI / LS scheme id to its symbol,
+    once per id.  The cache is ``_scheme_symbol``'s, so that this stays a
+    plain function, which a tracer can wrap."""
+    return _scheme_symbol(scheme_id)
+
+
+@functools.cache
+def _scheme_symbol(scheme_id: str) -> SchemeSymbol:
     transfer = None
     try:
         family, variant = exact.split_scheme_id(scheme_id)
@@ -292,9 +295,7 @@ def scheme_symbol(scheme_id: str) -> SchemeSymbol:
             template, coeffs = exact.builtin_scheme(scheme_id)
     except exact.UnknownSchemeError:
         raise exact.UnknownSchemeError(scheme_id, analysis_scheme_ids()) from None
-    sym = _symbol_from_parts(template, coeffs, transfer, f"{family}-{variant}")
-    _symbol_cache[scheme_id] = sym
-    return sym
+    return _symbol_from_parts(template, coeffs, transfer, f"{family}-{variant}")
 
 
 def analysis_scheme_ids() -> list[str]:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -346,3 +347,19 @@ def test_missing_lapack_extension_names_the_directory_searched(monkeypatch,
             banded._lapack()
     finally:
         banded._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("n, alpha, beta, failure", [
+    (389, 205 / 472, 0.0, "not positive definite"),  # dpttrf's LDL^T
+    (400, 799 / 2739, -557 / 5478, "singular"),       # dgbtrf's LU
+])
+def test_a_failed_lapack_factor_is_a_singular_operator(n, alpha, beta, failure,
+                                                       monkeypatch):
+    # check_invertible refuses every band that LAPACK would fail to factor,
+    # so a stub stands in for a factor that returns info = 1
+    failing = types.SimpleNamespace(dpttrf=lambda d, e: (d, e, 1),
+                                    dgbtrf=lambda ab, kl, ku: (ab, None, 1))
+    monkeypatch.setattr(banded, "_lapack", lambda: failing)
+    with pytest.raises(SingularOperatorError,
+                       match=rf"truncated band is {failure} \(info=1\)"):
+        CyclicBandedSolver(n, alpha, beta)

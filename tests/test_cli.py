@@ -53,12 +53,6 @@ def test_coeffs_json(tmp_path):
     assert doc["alpha"] == {"num": "-1261", "den": "3530"}
 
 
-def test_coeffs_unknown_scheme_lists_catalogue(capsys):
-    assert run_cli("coeffs", "--scheme", "BOGUS") == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "TDCNCS-T8" in err and "TDCCS-P10" in err
-
-
 @pytest.mark.parametrize("argv, ids", [
     (("coeffs", "--scheme"), exact.catalogued_scheme_ids),
     (("spectrum", "--scheme"), spectral.analysis_scheme_ids),
@@ -308,17 +302,18 @@ for solver, band_solve in band_solves:
     oracle = solver._correct(band_solve(rhs))
     assert solver.solve(rhs).tobytes() == oracle.tobytes(), solver.bandwidth
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=_package_env())
+    proc = _fresh_python("-c", script, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def _package_env():
-    """This environment, with the tested package's folder first on
-    PYTHONPATH, for a fresh interpreter."""
+def _fresh_python(*args, timeout):
+    """``python *args`` in a fresh interpreter, with the tested package's
+    folder first on PYTHONPATH."""
     src = str(pathlib.Path(dispersive_compact.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("argv", [
@@ -340,14 +335,35 @@ def _package_env():
                  " --filter F12:0.4:3", id="fft-filtered-1200"),
     pytest.param("run --example soliton --scheme tdccs --N 120"
                  " --t-final 0.01", id="fft-soliton-240"),
+    # coefficients that only the exact solver derives
+    pytest.param("coeffs --scheme TDCCS-3-P10 --format json",
+                 id="coeffs-TDCCS-3-P10"),
+    pytest.param("coeffs --scheme CCS-T8 --format json", id="coeffs-CCS-T8"),
 ])
 def test_a_run_exits_cleanly_under_python_w_error(argv):
     # the module entry point in a fresh interpreter, where any warning is
     # an error
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "dispersive_compact",
-         *argv.split()], capture_output=True, text=True, timeout=120,
-        env=_package_env())
+    proc = _fresh_python("-W", "error", "-m", "dispersive_compact",
+                         *argv.split(), timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_spectral_analysis_runs_without_mpmath_under_python_w_error():
+    # mpmath is a test-only dependency, which the library never imports; no
+    # floating-point exception is raised either
+    script = """
+import sys; sys.modules['mpmath'] = None
+import numpy; numpy.seterr(all='raise')
+from dispersive_compact import cli, spectral
+spectral.resolving_efficiency('TDCCS-T6', 1e-4)
+sys.exit(cli.dispatch(['spectrum', '--scheme', 'TDCCS-T6'])
+         or cli.dispatch(['spectrum', '--scheme', 'TDCNCS-T4'])
+         or cli.dispatch(['spectrum', '--scheme', 'TDCCCS-CI-T8'])
+         or cli.dispatch(['efficiency', '--schemes', 'all'])
+         or cli.dispatch(['efficiency', '--schemes', 'all', '--mode', 'strict'])
+         or cli.dispatch(['filter-analyze']))
+"""
+    proc = _fresh_python("-W", "error", "-c", script, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
@@ -491,7 +507,22 @@ def test_run_summary(tmp_path):
 
 def test_run_unknown_preset(capsys):
     assert run_cli("run", "--example", "nosuch") == EXIT_USAGE
-    assert "valid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'nosuch'" in err
+    assert [name for name in kdv.preset_names() if f"'{name}'" not in err] == []
+
+
+def test_a_diverging_run_is_reported_once_with_its_step(capsys):
+    # the flux overflows in step 8, as test_kdv::test_divergence_reports_its_step
+    # finds in the library
+    with pytest.warns(UserWarning):  # the dt guard's
+        code = run_cli("run", "--example", "soliton", "--N", "40",
+                       "--dt-rule", "fixed", "--dt", "0.05")
+    assert code == EXIT_NUMERICAL
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if "numerical failure:" in line]
+    assert len(failures) == 1 and "(step 8)" in failures[0]
 
 
 def test_run_divergence_is_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -724,10 +755,13 @@ def test_seed_is_not_an_option(tmp_path, capsys):
 def test_dump_config_round_trip(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert run_cli("run", "--example", "linear", "--c", "2", "--N", "30",
-                   "--dump-config", str(a)) == EXIT_OK
-    assert run_cli("run", "--config", str(a), "--dump-config", str(b)) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+    # each experiment command from its defaults, then run with flags
+    for argv in (("run",), ("converge",),
+                 ("run", "--example", "linear", "--c", "2", "--N", "30")):
+        assert run_cli(*argv, "--dump-config", str(a)) == EXIT_OK
+        assert run_cli(argv[0], "--config", str(a),
+                       "--dump-config", str(b)) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     assert doc["c"] == 2.0 and doc["n"] == 30
 
@@ -850,9 +884,20 @@ def test_filter_flag_parsing():
         parse_filter_flag("F12:0.4")
 
 
-def test_bad_flag_value_is_usage_error(capsys):
-    assert run_cli("run", "--example", "linear", "--scheme", "weird") == EXIT_USAGE
-    capsys.readouterr()
+# rows whose refusal must hold the given words: studies refused before any
+# N runs, and ids refused as typed
+REFUSAL_WORDS = {
+    ("converge", "--example", "double_soliton", "--Ns", "40,80"):
+        "no exact solution",
+    ("converge", "--example", "soliton", "--Ns", "4,800", "--t-final", "0.1"):
+        "N=4 too small for stencil",
+    # at 0.01 h^3, N = 100000 takes over 1e8 steps; N = 320 alone runs ~20 s
+    ("converge", "--example", "soliton", "--Ns", "320,100000"):
+        "more than 1e+08 steps",
+    ("spectrum", "--scheme", "CI-T8"): "CI-T8",
+    ("efficiency", "--schemes", "CI-T8"): "CI-T8",
+    ("coeffs", "--scheme", "TDCCS-LS-T8"): "TDCCS-LS-T8",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -888,12 +933,18 @@ def test_bad_flag_value_is_usage_error(capsys):
      "--dt-rule", "half_h2", "--cfl", "5"),
     # no TDCCS-T8 operator exists on fewer than 5 cells
     ("stability", "--scheme", "TDCCS-T8", "--n", "4"),
+    *REFUSAL_WORDS,
 ])
 @pytest.mark.usefixtures("one_worker")
-def test_out_of_range_input_is_one_line_usage_error(argv, capsys):
+def test_out_of_range_input_is_one_line_usage_error(argv, monkeypatch, capsys):
+    def no_step(*args):
+        raise AssertionError("a run stepped")
+
+    monkeypatch.setattr(timeint.TvdRk3, "advance", no_step)
     assert run_cli(*argv) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1
+    assert REFUSAL_WORDS.get(argv, "") in err
     assert out == ""
 
 
@@ -938,15 +989,6 @@ def _experiment_argv(draw, command, examples):
         pool = HOSTILE_POOLS[flag] if flag in hostile else VALID[flag]
         argv += [flag, draw(st.sampled_from(pool))]
     return argv
-
-
-def test_spectral_commands_run_without_mpmath(monkeypatch):
-    # mpmath is a test-only dependency, which the library never imports
-    monkeypatch.setitem(sys.modules, "mpmath", None)
-    assert spectral.resolving_efficiency("TDCCS-T6", 1e-4).e > 0
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(["spectrum", "--scheme", "TDCCS-T6"]) == EXIT_OK
-        assert dispatch(["efficiency", "--schemes", "all"]) == EXIT_OK
 
 
 def _dispatch_quietly(argv) -> str:

@@ -153,6 +153,12 @@ def test_te_alias_resolves_to_taylor_row():
     assert via_alias.as_dict() == direct.as_dict()
 
 
+def test_a_derived_alias_shares_its_familys_one_row():
+    # derived once per resolved name, so an alias gives the family's object
+    assert (exact.builtin_scheme("TDCCS-TE-1-T8")[1]
+            is exact.builtin_scheme("TDCCS-1-T8")[1])
+
+
 def test_unknown_scheme_raises():
     with pytest.raises(exact.UnknownSchemeError):
         exact.builtin_scheme("TDXXX-T8")

@@ -64,6 +64,15 @@ def test_problem_refuses_its_own_bad_t_final(t_final):
         dataclasses.replace(kdv.make_problem("soliton"), t_final=t_final)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["x_lo", "x_hi", "kappa", "epsilon"])
+def test_problem_refuses_a_field_that_is_not_finite(field, value):
+    # refused where it is built: an infinite x_hi would divide by zero in
+    # integrate, and a NaN epsilon would read as a divergence at t = 0
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        dataclasses.replace(kdv.make_problem("soliton"), **{field: value})
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         kdv.make_problem("nosuch")
@@ -337,7 +346,8 @@ def test_convergence_report_rates_and_serialization():
 
 
 def test_convergence_study_serial_parallel_agree(monkeypatch):
-    # the CPU count alone picks the path: 1 in this process, 2 a pool
+    # the CPU count alone picks the path: 1 in this process, 2 a real pool
+    # of two worker processes
     errors = {}
     for cpus in (1, 2):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -455,6 +465,21 @@ def test_discretization_refuses_non_integer_n(n):
     # N = 100.5 used to give n = 100 nodes at h = L/100.5
     with pytest.raises(ValueError, match="N must be an integer"):
         kdv.Discretization("TDCNCS", n, 2 * np.pi)
+
+
+@pytest.mark.parametrize("length, x_lo, message", [
+    # refused where it is built, not as a step count of more than 1e+08
+    (-2 * np.pi, 0.0, "length must be finite and positive, got -6.28"),
+    (0.0, 0.0, "length must be finite and positive, got 0.0"),
+    (float("inf"), 0.0, "length must be finite and positive, got inf"),
+    (float("nan"), 0.0, "length must be finite and positive, got nan"),
+    (2 * np.pi, float("nan"), "x_lo must be finite, got nan"),
+    (2 * np.pi, -float("inf"), "x_lo must be finite, got -inf"),
+])
+def test_discretization_refuses_a_domain_that_is_not_finite(length, x_lo,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        kdv.Discretization("TDCNCS", 20, length, x_lo)
 
 
 @pytest.mark.parametrize("record_every", [-1, 2.5])

@@ -209,6 +209,14 @@ def test_grid_too_small_rejected():
         CompactOperator("TDCNCS-T8", 2, 0.1)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
+def test_operator_refuses_a_spacing_that_is_not_finite_and_positive(h):
+    # refused before h^-d: h = 0 would divide by zero, and nan, inf or -0.1
+    # give a NaN, zero or sign-flipped symbol
+    with pytest.raises(ValueError, match=f"h must be finite and positive, got {h}"):
+        CompactOperator("TDCNCS-T8", 20, h)
+
+
 # -- filters ---------------------------------------------------------------
 
 def test_filter_coefficients_are_the_pinned_fractions():

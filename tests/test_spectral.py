@@ -191,6 +191,11 @@ def test_ci_psi_is_base_psi_times_the_p10_transfer_bit_for_bit():
         assert np.array_equal(spectral.modified_wavenumber(sid, omega), want), sid
 
 
+def test_a_symbol_is_resolved_once_per_id():
+    for sid in ("TDCCS-CI-T8", "TDCCS-LS-T8", "TDCCS-2-P10"):
+        assert spectral.scheme_symbol(sid) is spectral.scheme_symbol(sid)
+
+
 def test_unknown_scheme_id():
     with pytest.raises(exact.UnknownSchemeError):
         spectral.scheme_symbol("TDCCS-XX-T8")
