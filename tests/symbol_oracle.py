@@ -82,8 +82,9 @@ def evaluate(sym, trig):
 
 def resolving_efficiency(sym, eps_t, mode):
     """w_f of ``spectral.resolving_efficiency`` with every psi from
-    ``evaluate``: the scan on the 20,000 midpoints of (0, pi), then bisection
-    to |dw| <= 1e-5 on scalar psi."""
+    ``evaluate``: the scan on the 20,000 midpoints of (0, pi), allocated per
+    call, its crossing found by ``np.nonzero``, then bisection to
+    |dw| <= 1e-5 on scalar psi."""
     from dispersive_compact import spectral
 
     d = sym.derivative_order

@@ -1,10 +1,13 @@
 """Fourier symbols, resolving efficiency, LS optimization, eigenvalues."""
 
+import functools
+import inspect
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -175,7 +178,8 @@ def test_efficiency_scan_on_the_cached_grid_is_psi_on_a_fresh_grid():
         assert not omega.flags.writeable and not omega_d.flags.writeable
         assert np.array_equal(omega, fresh)
         assert np.array_equal(omega_d, fresh.copy() ** d)
-        assert np.array_equal(sym._evaluate(trig), sym.psi(fresh.copy())), sid
+        scan = sym._evaluate(trig, spectral._scan_buffers()[0])
+        assert np.array_equal(scan, sym.psi(fresh.copy())), sid
 
 
 def test_ci_psi_is_base_psi_times_the_p10_transfer_bit_for_bit():
@@ -339,8 +343,12 @@ def test_factored_symbol_has_the_bits_of_the_rational_polyval_oracle():
 
 
 @pytest.mark.parametrize("mode", ["band_edge", "strict"])
-@pytest.mark.parametrize("eps_t", [1e-3, 1e-4])
+@pytest.mark.parametrize("eps_t", [1e-3, 1e-4, 3.7e-5, 2e-6, 0.05, 1e-300])
 def test_efficiency_is_the_oracle_efficiency_bit_for_bit(eps_t, mode):
+    # the oracle allocates its scan and finds the crossing by np.nonzero; the
+    # library scans in reused buffers and takes argmax of a cached mask.
+    # 0.05 ends scans at pi, and 1e-300 ends 28 band-edge and 45 strict
+    # scans at the first scan point
     ids = [sid for sid in spectral.analysis_scheme_ids()
            if spectral.scheme_symbol(sid).derivative_order % 2 == 1]
     assert len(ids) == 87
@@ -349,6 +357,70 @@ def test_efficiency_is_the_oracle_efficiency_bit_for_bit(eps_t, mode):
         want = symbol_oracle.resolving_efficiency(
             spectral.scheme_symbol(sid), eps_t, mode)
         assert got == want, sid
+
+
+@pytest.mark.parametrize("mode", ["band_edge", "strict"])
+def test_a_warm_efficiency_scan_allocates_no_scan_sized_array(mode):
+    # psi, the CI transfer and the error are formed in buffers built once per
+    # process, and the crossing is found on a cached mask
+    for sid in ("TDCCS-CI-T8", "TDCCS-LS-T8", "TDCNCS-T4"):
+        spectral.resolving_efficiency(sid, 1e-4, mode)
+        tracemalloc.start()
+        try:
+            spectral.resolving_efficiency(sid, 1e-4, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectral._SCAN_SAMPLES * 8, (sid, peak)
+
+
+def test_ls_coefficients_and_efficiencies_do_not_depend_on_the_quadrature(
+        monkeypatch):
+    # 100 Gauss points against 1000: the coefficients agree to the ~1e-7 of a
+    # row's largest one to which the stationarity system fixes them
+    # (measured <= 7.7e-8), and no LS id's efficiency moves
+    keys = ("a", "b", "c", "alpha", "beta")
+    ls_ids = [sid for sid in spectral.analysis_scheme_ids()
+              if exact.split_scheme_id(sid)[0] in spectral._LS_FAMILIES]
+    assert len(ls_ids) == 18
+
+    def rows():
+        return {(family, variant, r): np.array([
+            float(spectral.ls_optimize(family, variant, r).as_dict()[k])
+            for k in keys])
+            for family in spectral._LS_FAMILIES.values()
+            for variant in spectral._LS_VARIANTS for r in (0.5, 1.0)}
+
+    def efficiencies():
+        return [spectral.resolving_efficiency(sid, eps_t).omega_f
+                for sid in ls_ids for eps_t in (1e-3, 1e-4)]
+
+    coarse, coarse_e = rows(), efficiencies()
+    coarse_alpha = spectral.scheme_symbol("TDCCS-LS-T8").alpha
+    monkeypatch.setattr(spectral, "_LS_QUAD_POINTS", 1000)
+    # a fresh symbol cache, so that the LS ids resolve on 1000 points
+    monkeypatch.setattr(spectral, "_scheme_symbol",
+                        functools.cache(spectral._scheme_symbol.__wrapped__))
+    fine = rows()
+    assert spectral.scheme_symbol("TDCCS-LS-T8").alpha != coarse_alpha
+    assert any(not np.array_equal(fine[key], coarse[key]) for key in fine)
+    for key, want in fine.items():
+        gap = np.max(np.abs(coarse[key] - want))
+        assert gap <= 2e-7 * np.max(np.abs(want)), key
+    assert efficiencies() == coarse_e
+
+
+def test_an_ls_row_is_solved_once_after_its_arguments_are_checked():
+    # a plain function over the cached solve, so that a tracer can wrap it
+    assert inspect.isfunction(spectral.ls_optimize)
+    first = spectral.ls_optimize("TDCCS-2", "P8", 0.75)
+    assert spectral.ls_optimize("TDCCS-2", "P8", 0.75) is first
+    solved = spectral._ls_optimize.cache_info().currsize
+    for args in (("TDCCS", "T8", 1.5), ("TDCCS", "Q3", 1.0),
+                 ("TDCNCS", "T8", 1.0)):
+        with pytest.raises(ValueError):
+            spectral.ls_optimize(*args)
+    assert spectral._ls_optimize.cache_info().currsize == solved
 
 
 def test_the_package_loads_numpy_polynomial_only_for_least_squares():
